@@ -26,6 +26,7 @@ from . import __version__, constants, siegel, stability
 from .enumeration import DEFAULT_BUDGET
 from .errors import (
     BudgetExceededError,
+    DegenerateBasisError,
     InvariantViolationError,
     LatticeParseError,
 )
@@ -467,7 +468,7 @@ def main(argv=None) -> int:
     except InvariantViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, DegenerateBasisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

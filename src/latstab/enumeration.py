@@ -1,17 +1,18 @@
 """Complete depth-first enumeration of short and close lattice vectors.
 
-Fincke-Pohst style search over integer coordinates against the Gram-Schmidt
-quadratic form. Callers are expected to pass reduced bases (the search stays
-complete on any basis, just slower). Node budgets are hard errors, never
-silent truncation.
+One Fincke-Pohst search over integer coordinates against the Gram-Schmidt
+quadratic form of a Frame, centred at 0 for short vectors and at the target
+for close vectors. Callers are expected to pass frames of reduced bases
+(the search stays complete on any basis, just slower). Node budgets are hard
+errors, never silent truncation.
 """
 
 from __future__ import annotations
 
 from math import ceil, floor, gcd, sqrt
 
-from .errors import BudgetExceededError, DegenerateBasisError
-from .reduction import dot, gso
+from .errors import BudgetExceededError
+from .reduction import Frame, dot
 
 DEFAULT_BUDGET = 10**8
 
@@ -37,25 +38,16 @@ class NodeCounter:
             )
 
 
-def short_vectors(rows, radius: float, counter: NodeCounter | None = None,
-                  half: bool = True):
-    """All nonzero x with |x @ rows| <= radius (up to tree slack).
+def _fincke_pohst(frame: Frame, centre, r2: float, counter: NodeCounter,
+                  nonzero: bool, half: bool):
+    """All x with sum_i c_i (x_i + sum_{j>i} x_j mu_ji - centre_i)^2 <= r2.
 
-    With half=True one representative per +-pair is produced, normalized so
-    the highest-index nonzero coordinate is positive. Returns a list of
-    (coords, norm_sq) pairs in no particular order; norm_sq comes from the
-    search recurrence, so callers should re-check borderline vectors against
-    their own exact norms.
+    nonzero drops the zero vector; half (with nonzero) keeps one of each
+    +-pair, the one whose highest-index nonzero coordinate is positive.
+    Returns (coords, squared distance from the recurrence) pairs.
     """
-    if counter is None:
-        counter = NodeCounter()
-    m = len(rows)
-    if m == 0 or radius <= 0.0:
-        return []
-    mu, c = gso(rows)
-    if min(c) <= 0.0:
-        raise DegenerateBasisError("dependent rows passed to enumeration")
-    r2 = radius * radius * TREE_SLACK
+    _, mu, c, _ = frame
+    m = len(c)
     out: list[tuple[tuple[int, ...], float]] = []
     x = [0] * m
 
@@ -63,12 +55,13 @@ def short_vectors(rows, radius: float, counter: NodeCounter | None = None,
         if i < 0:
             out.append((tuple(x), rho))
             return
-        center = 0.0
+        center = centre[i]
         for j in range(i + 1, m):
             xj = x[j]
             if xj:
                 center -= xj * mu[j][i]
-        width = sqrt(max(r2 - rho, 0.0) / c[i]) + 1e-12
+        ci = c[i]
+        width = sqrt(max(r2 - rho, 0.0) / ci) + 1e-12
         lo = ceil(center - width)
         hi = floor(center + width)
         if half and top_zero:
@@ -78,74 +71,48 @@ def short_vectors(rows, radius: float, counter: NodeCounter | None = None,
         counter.spend(hi - lo + 1)
         for xi in range(lo, hi + 1):
             d = xi - center
-            rho2 = rho + d * d * c[i]
+            rho2 = rho + d * d * ci
             if rho2 <= r2:
-                if i == 0 and xi == 0 and top_zero:
+                if top_zero and xi == 0 and i == 0:
                     continue  # the zero vector
                 x[i] = xi
                 descend(i - 1, rho2, top_zero and xi == 0)
         x[i] = 0
 
-    descend(m - 1, 0.0, True)
+    descend(m - 1, 0.0, nonzero)
     return out
 
 
-def close_vectors(rows, target, radius: float,
+def short_vectors(frame: Frame, radius: float,
+                  counter: NodeCounter | None = None, half: bool = True):
+    """All nonzero x with |x @ rows| <= radius (up to tree slack).
+
+    With half=True one representative per +-pair is produced, normalized so
+    the highest-index nonzero coordinate is positive. Returns a list of
+    (coords, norm_sq) pairs in no particular order; norm_sq comes from the
+    search recurrence, so callers should re-check borderline vectors against
+    their own exact norms.
+    """
+    if radius <= 0.0:
+        return []
+    return _fincke_pohst(frame, [0.0] * len(frame.c),
+                         radius * radius * TREE_SLACK,
+                         counter or NodeCounter(), True, half)
+
+
+def close_vectors(frame: Frame, target, radius: float,
                   counter: NodeCounter | None = None):
     """All x with |x @ rows - target| <= radius (up to tree slack)."""
-    if counter is None:
-        counter = NodeCounter()
-    m = len(rows)
-    if m == 0:
-        return []
-    mu, c = gso(rows)
-    if min(c) <= 0.0:
-        raise DegenerateBasisError("dependent rows passed to enumeration")
     # express target in the Gram-Schmidt frame
-    bstar = [list(map(float, r)) for r in rows]
-    for i in range(m):
-        for j in range(i):
-            mij = mu[i][j]
-            bi = bstar[i]
-            bj = bstar[j]
-            for t in range(len(bi)):
-                bi[t] -= mij * bj[t]
-    tau = [dot(target, bstar[i]) / c[i] for i in range(m)]
-    r2 = radius * radius * TREE_SLACK + 1e-18
-    out: list[tuple[tuple[int, ...], float]] = []
-    x = [0] * m
-
-    def descend(i: int, rho: float) -> None:
-        if i < 0:
-            out.append((tuple(x), rho))
-            return
-        center = tau[i]
-        for j in range(i + 1, m):
-            xj = x[j]
-            if xj:
-                center -= xj * mu[j][i]
-        width = sqrt(max(r2 - rho, 0.0) / c[i]) + 1e-12
-        lo = ceil(center - width)
-        hi = floor(center + width)
-        if hi < lo:
-            return
-        counter.spend(hi - lo + 1)
-        for xi in range(lo, hi + 1):
-            d = xi - center
-            rho2 = rho + d * d * c[i]
-            if rho2 <= r2:
-                x[i] = xi
-                descend(i - 1, rho2)
-        x[i] = 0
-
-    descend(m - 1, 0.0)
-    return out
+    tau = [dot(target, b) / ci for b, ci in zip(frame.bstar, frame.c)]
+    return _fincke_pohst(frame, tau, radius * radius * TREE_SLACK + 1e-18,
+                         counter or NodeCounter(), False, False)
 
 
-def primitive_half_vectors(rows, radius: float,
+def primitive_half_vectors(frame: Frame, radius: float,
                            counter: NodeCounter | None = None):
     """Primitive half-vectors within radius, sorted by ascending norm."""
-    vecs = short_vectors(rows, radius, counter=counter, half=True)
+    vecs = short_vectors(frame, radius, counter=counter, half=True)
     prim = []
     for coords, norm_sq in vecs:
         g = 0

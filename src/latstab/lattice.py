@@ -19,7 +19,7 @@ import numpy as np
 from . import intmat
 from .enumeration import DEFAULT_BUDGET, NodeCounter, close_vectors, short_vectors
 from .errors import DegenerateBasisError, LatticeParseError
-from .reduction import DEFAULT_DELTA, lll_rows, nearest_plane
+from .reduction import DEFAULT_DELTA, Frame, gs_frame, lll_rows, nearest_plane
 
 COVOLUME_RTOL = 1e-9
 EXACT_FORM_RTOL = 1e-12
@@ -131,6 +131,11 @@ class Lattice:
     def _reduced(self) -> tuple[list[list[float]], IntRows]:
         rows, u = lll_rows(self._rows, DEFAULT_DELTA)
         return rows, _freeze_rows(u)
+
+    @cached_property
+    def _frame(self) -> Frame:
+        """Gram-Schmidt frame of the reduced basis rows."""
+        return gs_frame(self._reduced[0])
 
     @cached_property
     def _reduced_inverse(self) -> IntRows:
@@ -328,9 +333,9 @@ def enumerate_short_vectors(lattice: Lattice, radius: float,
     """
     if not radius > 0:
         raise ValueError("radius must be positive")
-    rows, u = lattice._reduced
+    _, u = lattice._reduced
     counter = NodeCounter(budget)
-    found = short_vectors(rows, radius, counter=counter, half=True)
+    found = short_vectors(lattice._frame, radius, counter=counter, half=True)
     limit = radius * (1 + 1e-12)
     out = []
     for x, _ in found:
@@ -371,15 +376,17 @@ def closest_vector(lattice: Lattice, target,
     n = lattice.dim
     if len(t) != n:
         raise ValueError("target dimension mismatch")
-    rows, u = lattice._reduced
+    _, u = lattice._reduced
+    frame = lattice._frame
+    rows = frame.rows
     # recenter at the Babai point so the search works on a small residual;
     # far targets would otherwise lose the radius to cancellation
-    seed = nearest_plane(rows, t)
+    seed = nearest_plane(frame, t)
     shift = [sum(seed[i] * rows[i][c] for i in range(n)) for c in range(n)]
     t0 = [tv - sv for tv, sv in zip(t, shift)]
     seed_dist = math.sqrt(sum(v * v for v in t0))
     counter = NodeCounter(budget)
-    cands = close_vectors(rows, t0, seed_dist * (1 + 1e-12) + 1e-15,
+    cands = close_vectors(frame, t0, seed_dist * (1 + 1e-12) + 1e-15,
                           counter=counter)
     best_d2 = None
     best = []
@@ -389,19 +396,21 @@ def closest_vector(lattice: Lattice, target,
             for c in range(n)
         ]
         d2 = sum(v * v for v in resid)
-        full = [xi + si for xi, si in zip(x, seed)]
-        coords = tuple(
-            sum(full[i] * u[i][j] for i in range(n)) for j in range(n)
-        )
         if best_d2 is None or d2 < best_d2 * (1 - 1e-12):
             best_d2 = d2
-            best = [(coords, resid, d2)]
+            best = [(x, resid, d2)]
         elif d2 <= best_d2 * (1 + 1e-12):
-            best.append((coords, resid, d2))
+            best.append((x, resid, d2))
             best_d2 = min(best_d2, d2)
     if not best:
         raise AssertionError("CVP search returned no candidate")
-    coords, resid, d2 = min(best, key=lambda item: _cvp_tie_key(item[0]))
+    # map to lattice coordinates only the tied minimizers
+    tied = [
+        (tuple(sum((x[i] + seed[i]) * u[i][j] for i in range(n))
+               for j in range(n)), resid, d2)
+        for x, resid, d2 in best
+    ]
+    coords, resid, d2 = min(tied, key=lambda item: _cvp_tie_key(item[0]))
     vec = np.array([tv + rv for tv, rv in zip(t, resid)])
     return ClosestVector(vector=vec, distance=math.sqrt(d2), coords=coords)
 

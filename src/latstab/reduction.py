@@ -8,6 +8,8 @@ can replay the reduction on exact integer data.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .errors import DegenerateBasisError
 from .intmat import IntMatrix, identity
 
@@ -18,8 +20,8 @@ def dot(u, v) -> float:
     return sum(x * y for x, y in zip(u, v))
 
 
-def gso(rows) -> tuple[list[list[float]], list[float]]:
-    """Gram-Schmidt data (mu, c) with c[i] = |b*_i|^2."""
+def gso(rows) -> tuple[list[list[float]], list[float], list[list[float]]]:
+    """Gram-Schmidt data (mu, c, bstar) with c[i] = |b*_i|^2."""
     m = len(rows)
     bstar = [list(map(float, r)) for r in rows]
     mu = [[0.0] * m for _ in range(m)]
@@ -34,7 +36,29 @@ def gso(rows) -> tuple[list[list[float]], list[float]]:
             for t in range(len(bi)):
                 bi[t] -= mij * bj[t]
         c[i] = dot(bi, bi)
-    return mu, c
+    return mu, c, bstar
+
+
+class Frame(NamedTuple):
+    """Gram-Schmidt frame of independent basis rows.
+
+    b_i = b*_i + sum_{j<i} mu[i][j] b*_j with c[i] = |b*_i|^2 > 0; built
+    once per basis by gs_frame and shared by Babai and the enumerators.
+    """
+
+    rows: list[list[float]]
+    mu: list[list[float]]
+    c: list[float]
+    bstar: list[list[float]]
+
+
+def gs_frame(rows) -> Frame:
+    """Gram-Schmidt frame of the rows; raises DegenerateBasisError if a
+    Gram-Schmidt length vanishes."""
+    mu, c, bstar = gso(rows)
+    if min(c, default=0.0) <= 0.0:
+        raise DegenerateBasisError("dependent rows have no Gram-Schmidt frame")
+    return Frame(rows, mu, c, bstar)
 
 
 def lll_rows(rows, delta: float = DEFAULT_DELTA, max_swaps: int | None = None):
@@ -54,7 +78,7 @@ def lll_rows(rows, delta: float = DEFAULT_DELTA, max_swaps: int | None = None):
         return b, u
     if max_swaps is None:
         max_swaps = 4096 + 256 * m * m
-    mu, c = gso(b)
+    mu, c, _ = gso(b)
     if min(c) <= 0.0:
         raise DegenerateBasisError("dependent rows passed to LLL")
     k = 1
@@ -85,33 +109,23 @@ def lll_rows(rows, delta: float = DEFAULT_DELTA, max_swaps: int | None = None):
             swaps += 1
             if swaps > max_swaps:
                 raise DegenerateBasisError("LLL failed to converge")
-            mu, c = gso(b)
+            mu, c, _ = gso(b)
             if min(c) <= 0.0:
                 raise DegenerateBasisError("dependent rows passed to LLL")
             k = max(k - 1, 1)
     return b, u
 
 
-def nearest_plane(rows, target) -> list[int]:
-    """Babai nearest-plane coordinates of target w.r.t. the given rows."""
-    mu, c = gso(rows)
-    m = len(rows)
-    bstar = [list(map(float, r)) for r in rows]
-    for i in range(m):
-        for j in range(i):
-            mij = mu[i][j]
-            bi = bstar[i]
-            bj = bstar[j]
-            for t in range(len(bi)):
-                bi[t] -= mij * bj[t]
+def nearest_plane(frame: Frame, target) -> list[int]:
+    """Babai nearest-plane coordinates of target w.r.t. the frame's rows."""
+    rows, _, c, bstar = frame
     r = list(map(float, target))
-    x = [0] * m
-    for i in range(m - 1, -1, -1):
-        ci = c[i]
-        coeff = dot(r, bstar[i]) / ci if ci > 0.0 else 0.0
-        x[i] = round(coeff)
-        if x[i]:
+    x = [0] * len(rows)
+    for i in range(len(rows) - 1, -1, -1):
+        xi = round(dot(r, bstar[i]) / c[i])
+        x[i] = xi
+        if xi:
             bi = rows[i]
             for t in range(len(r)):
-                r[t] -= x[i] * bi[t]
+                r[t] -= xi * bi[t]
     return x

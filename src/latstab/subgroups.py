@@ -37,7 +37,7 @@ from .lattice import (
     saturate,
     subgroup_covolume,
 )
-from .reduction import dot, lll_rows
+from .reduction import dot, gs_frame, lll_rows
 
 SLACK = 1 + 1e-9
 TIE_RTOL = 1e-12
@@ -120,7 +120,7 @@ def _candidates(level: _Level, k: int, scale: float, search: _Search):
         limit = (search.threshold / scale) * SLACK
         if limit <= 0:
             return
-        for x, n2 in primitive_half_vectors(level.rows, limit,
+        for x, n2 in primitive_half_vectors(gs_frame(level.rows), limit,
                                             counter=search.counter):
             if sqrt(n2) > (search.threshold / scale) * SLACK:
                 break  # sorted ascending; threshold may have shrunk
@@ -130,7 +130,7 @@ def _candidates(level: _Level, k: int, scale: float, search: _Search):
     radius = bound * (search.threshold / scale) ** (1.0 / k) * SLACK
     if radius <= 0:
         return
-    for x, n2 in primitive_half_vectors(level.rows, radius,
+    for x, n2 in primitive_half_vectors(gs_frame(level.rows), radius,
                                         counter=search.counter):
         if sqrt(n2) > bound * (search.threshold / scale) ** (1.0 / k) * SLACK:
             break

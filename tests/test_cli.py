@@ -1,5 +1,6 @@
 """CLI: commands, exit codes, manifests, replay, worker independence."""
 
+import hashlib
 import json
 import math
 
@@ -96,6 +97,36 @@ def test_covrad_command(tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == 3
     assert float(lines[1].split(",")[5]) > 0
+
+
+COVRAD_GOLDEN = ["covrad", "--n", "4", "--sampler", "gm", "--lattices", "3",
+                 "--trials", "50", "--seed", "7"]
+
+
+def test_covrad_golden_bytes(tmp_path):
+    out = tmp_path / "c.csv"
+    assert run(COVRAD_GOLDEN + ["--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "fda571edcc92882afa779dc6fd09390b61593e3c495bc40f5d3e66c6ac94ef05")
+
+
+def test_covrad_replay_reproduces_bytes(tmp_path):
+    out = tmp_path / "c.csv"
+    assert run(COVRAD_GOLDEN + ["--output", str(out)]) == 0
+    original = out.read_bytes()
+    out.write_bytes(b"clobbered\n")
+    assert run(["replay", str(tmp_path / "c.csv.manifest.json")]) == 0
+    assert out.read_bytes() == original
+
+
+def test_degenerate_basis_is_a_usage_error(tmp_path, capsys):
+    # a gm basis at p near 2^61 fails the float condition check
+    out = tmp_path / "x.csv"
+    assert run(["stability-mass", "--n", "2", "--p", "2305843009213693951",
+                "--samples", "2", "--seed", "1", "--workers", "1",
+                "--output", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_stability_mass_reproducible_and_worker_independent(tmp_path):

@@ -1,5 +1,6 @@
 """Lattice type, reduction, enumeration, CVP, saturation, duals, text IO."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -12,7 +13,10 @@ from latstab.errors import (
     DegenerateBasisError,
     LatticeParseError,
 )
+from latstab import reduction
+from latstab.enumeration import NodeCounter, close_vectors, short_vectors
 from latstab.intmat import bareiss_det
+from latstab.reduction import gs_frame
 from conftest import random_unimodular
 from oracles import box_coords, integer_gram_det, numpy_babai_distance
 
@@ -147,6 +151,61 @@ def test_enumeration_completeness_against_box_scan():
         done += 1
 
 
+# Pinned results of the enumerators on LLL-reduced gm bases (seed 2024):
+# result count, NodeCounter.nodes and a digest of the sorted (coords,
+# squared norm) list, recorded when SVP and CVP were separate searches.
+# short_vectors at radius 1.6: (n, stream, half, count, nodes, digest)
+SVP_PINS = [
+    (3, 0, True, 17, 21, "12f3c90cbe73da3d"),
+    (3, 0, False, 34, 39, "3b27a9c78fd806c5"),
+    (4, 1, True, 15, 26, "a169af8cb3e99475"),
+    (4, 1, False, 30, 48, "0c9fde5e824b6ef4"),
+    (5, 2, True, 24, 39, "f7e7157885538fca"),
+    (5, 2, False, 48, 73, "63d38278f637dd19"),
+    (6, 3, True, 67, 92, "8af5e861ff49a8b1"),
+    (6, 3, False, 134, 178, "a15974a312a309fb"),
+]
+# close_vectors at radius 1.3 around a uniform(-2, 2) target from
+# default_rng(n): (n, stream, count, nodes, digest prefix)
+CVP_PINS = [
+    (3, 0, 0, 0, "4f53cda18c2baa0c"),
+    (4, 1, 15, 27, "1262568a9b2e83a4"),
+    (5, 2, 25, 40, "acdd448ea4c7ab4b"),
+    (6, 3, 27, 41, "dfe54a5f14ce3e6a"),
+]
+
+
+def _pin_digest(result):
+    return hashlib.sha256(repr(sorted(result)).encode()).hexdigest()[:16]
+
+
+def _pin_frame(n, stream):
+    return gs_frame(random_unimodular(n, seed=2024, stream=stream)._reduced[0])
+
+
+@pytest.mark.parametrize("n, stream, half, count, nodes, digest", SVP_PINS)
+def test_short_vectors_pinned(n, stream, half, count, nodes, digest):
+    counter = NodeCounter()
+    got = short_vectors(_pin_frame(n, stream), 1.6, counter=counter,
+                        half=half)
+    assert (len(got), counter.nodes, _pin_digest(got)) == (count, nodes,
+                                                           digest)
+
+
+@pytest.mark.parametrize("n, stream, count, nodes, digest", CVP_PINS)
+def test_close_vectors_pinned(n, stream, count, nodes, digest):
+    target = [float(v) for v in np.random.default_rng(n).uniform(-2, 2, n)]
+    counter = NodeCounter()
+    got = close_vectors(_pin_frame(n, stream), target, 1.3, counter=counter)
+    assert (len(got), counter.nodes, _pin_digest(got)) == (count, nodes,
+                                                           digest)
+
+
+def test_frame_rejects_dependent_rows():
+    with pytest.raises(DegenerateBasisError):
+        gs_frame([[1.0, 2.0], [2.0, 4.0]])
+
+
 # -- CVP -----------------------------------------------------------------------
 
 
@@ -172,6 +231,56 @@ def test_cvp_beats_nearest_plane():
         # returned vector is consistent with its coordinates
         vec = np.array(res.coords, dtype=float) @ lat.basis
         assert np.allclose(vec, res.vector)
+
+
+def test_cvp_exact_against_box_scan():
+    rng = np.random.default_rng(47)
+    done = 0
+    while done < 15:
+        n = 2 + done % 3
+        m = rng.integers(-4, 5, size=(n, n))
+        if abs(np.linalg.det(np.array(m, dtype=float))) < 0.5:
+            continue
+        lat = ls.Lattice.from_exact([[int(x) for x in r] for r in m], 1.0)
+        target = rng.uniform(-3, 3, size=n)
+        res = ls.closest_vector(lat, target)
+        # every closest point lies within the rounding point's distance;
+        # the dual rows bound the coordinates of that ball
+        inv = np.linalg.inv(lat.basis)
+        centre = np.rint(target @ inv)
+        reach = np.linalg.norm(centre @ lat.basis - target) * np.sqrt(
+            (inv.T * inv.T).sum(axis=1)).max()
+        box = int(math.ceil(reach + 1.0))
+        if (2 * box + 1) ** n > 3e6:
+            continue
+        coords = np.vstack([np.zeros((1, n), dtype=int), box_coords(n, box)])
+        coords = coords + centre.astype(int)
+        dists = np.linalg.norm(coords.astype(float) @ lat.basis - target,
+                               axis=1)
+        best = dists.min()
+        assert abs(res.distance - best) <= 1e-9 * max(1.0, best)
+        ties = {tuple(int(x) for x in c)
+                for c, d in zip(coords, dists) if d <= best + 1e-9}
+        assert res.coords in ties
+        done += 1
+
+
+def test_cvp_builds_one_frame(monkeypatch):
+    lat = random_unimodular(4, seed=8, stream=0)
+    lat._reduced  # LLL runs its own Gram-Schmidt passes
+    calls = []
+    gso = reduction.gso
+
+    def counted(rows):
+        calls.append(len(rows))
+        return gso(rows)
+
+    monkeypatch.setattr(reduction, "gso", counted)
+    rng = np.random.default_rng(2)
+    for _ in range(25):
+        ls.closest_vector(lat, rng.random(4) @ lat.basis)
+    ls.enumerate_short_vectors(lat, 1.2)
+    assert calls == [4]
 
 
 # -- saturation and sublattices -------------------------------------------------
