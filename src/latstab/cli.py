@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -170,7 +169,8 @@ def _run_alpha(params: dict) -> list[Path]:
     return outputs
 
 
-def _sample_chunk(spec: SamplerSpec, start: int, stop: int) -> list[str]:
+def _sample_chunk(spec: SamplerSpec, _params, start: int,
+                  stop: int) -> list[str]:
     return [format_lattice_text(sample_lattice(spec.with_stream(i)))
             for i in range(start, stop)]
 
@@ -181,18 +181,9 @@ def _run_sample(params: dict) -> list[Path]:
     spec = _spec_from_params(params)
     out_dir = Path(params["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    n_samples = params["samples"]
-    workers = params["workers"]
-    if workers > 1 and n_samples >= 2 * workers:
-        chunk = max(1, (n_samples + workers * 4 - 1) // (workers * 4))
-        ranges = [(s, min(s + chunk, n_samples))
-                  for s in range(0, n_samples, chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_sample_chunk, spec, a, b)
-                       for a, b in ranges]
-            texts = [t for f in futures for t in f.result()]
-    else:
-        texts = _sample_chunk(spec, 0, n_samples)
+    chunks = siegel._execute(_sample_chunk, spec, None, params["samples"],
+                             params["workers"])
+    texts = [text for chunk in chunks for text in chunk]
     outputs = []
     for i, text in enumerate(texts):
         path = out_dir / f"lattice_{i:06d}.txt"

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constants, subgroups
-from .enumeration import DEFAULT_BUDGET
+from .enumeration import DEFAULT_BUDGET, TREE_SLACK
 from .errors import InvariantViolationError
 from .lattice import Lattice, Sublattice
 from .sampling import SamplerSpec, sample_lattice
@@ -105,6 +105,15 @@ class TensorCount:
     subgroups: tuple[Sublattice, ...]
 
 
+def _check_threshold(t: float) -> None:
+    # the rank-1 search squares a radius of t * SLACK; it must stay finite
+    r = t * subgroups.SLACK
+    if not (t > 0 and math.isfinite(r * r * TREE_SLACK)):
+        raise ValueError(
+            f"threshold t must be positive with a finite square, got {t!r}"
+        )
+
+
 def siegel_transform_count(lattice: Lattice, k: int, t: float,
                            budget: int = DEFAULT_BUDGET) -> TensorCount:
     """Number of signed pure tensors of norm at most t coming from primitive
@@ -113,8 +122,7 @@ def siegel_transform_count(lattice: Lattice, k: int, t: float,
         raise ValueError(
             f"k must lie in [1, n-1] = [1, {lattice.dim - 1}], got {k}"
         )
-    if not t > 0:
-        raise ValueError("threshold t must be positive")
+    _check_threshold(t)
     found = subgroups.subgroups_within(lattice, k, t, budget)
     subs = tuple(
         Sublattice(rank=k, coords=coords, covolume=covol, primitive=True)
@@ -148,32 +156,28 @@ def _source_seed(source):
     return source.seed if isinstance(source, SamplerSpec) else None
 
 
-def _task_count(source, params, start, stop):
-    k, t, budget = params
-    s = 0
-    s2 = 0
-    for i in range(start, stop):
-        lat = _draw(source, i)
-        c = 2 * len(subgroups.subgroups_within(lat, k, t, budget))
-        s += c
-        s2 += c * c
-    return s, s2
+def _source_dim(source) -> int:
+    return source.n if isinstance(source, SamplerSpec) else _draw(source, 0).dim
 
 
-def _task_count_pair(source, params, start, stop):
-    k, t1, t2, budget = params
-    sx = sy = sxx = syy = sxy = 0
+def _task_counts(source, params, start, stop):
+    """One search per lattice at the largest threshold, tallied per
+    threshold: per-threshold count sums and sums of pairwise products."""
+    k, ts, budget = params
+    m = len(ts)
+    top = max(ts)
+    sums = [0] * m
+    products = [[0] * m for _ in range(m)]
     for i in range(start, stop):
         lat = _draw(source, i)
-        found = subgroups.subgroups_within(lat, k, t2, budget)
-        y = 2 * len(found)
-        x = 2 * sum(1 for covol, _ in found if covol <= t1)
-        sx += x
-        sy += y
-        sxx += x * x
-        syy += y * y
-        sxy += x * y
-    return sx, sy, sxx, syy, sxy
+        found = subgroups.subgroups_within(lat, k, top, budget)
+        counts = [2 * sum(1 for covol, _ in found if covol <= t) for t in ts]
+        for a, ca in enumerate(counts):
+            sums[a] += ca
+            row = products[a]
+            for b, cb in enumerate(counts):
+                row[b] += ca * cb
+    return sums, products
 
 
 def _task_mass(source, params, start, stop):
@@ -203,33 +207,39 @@ def _task_alpha(source, params, start, stop):
     return vals
 
 
-_TASKS = {
-    "count": _task_count,
-    "count_pair": _task_count_pair,
-    "mass": _task_mass,
-    "alpha": _task_alpha,
-}
-
-
-def _run_task(name, source, params, start, stop):
-    return _TASKS[name](source, params, start, stop)
-
-
-def _execute(name, source, params, n_samples, workers):
-    """Run a task over streams 0..n_samples-1, returning per-chunk payloads
-    in stream order. Results are independent of the worker count."""
+def _execute(task, source, params, n_samples, workers):
+    """Run task(source, params, start, stop) over streams 0..n_samples-1,
+    returning per-chunk payloads in stream order. Results are independent
+    of the worker count."""
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     picklable = isinstance(source, SamplerSpec)
     if workers <= 1 or not picklable or n_samples < 2 * workers:
-        return [_run_task(name, source, params, 0, n_samples)]
+        return [task(source, params, 0, n_samples)]
     chunk = max(1, (n_samples + workers * 4 - 1) // (workers * 4))
     ranges = [(s, min(s + chunk, n_samples))
               for s in range(0, n_samples, chunk)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_task, name, source, params, a, b)
+        futures = [pool.submit(task, source, params, a, b)
                    for a, b in ranges]
         return [f.result() for f in futures]
+
+
+def _count_moments(source, k: int, ts, n_samples: int, workers: int,
+                   budget: int):
+    """Count sums per threshold and sums of pairwise count products over
+    streams 0..n_samples-1, from one search per lattice."""
+    if n_samples < 2:
+        raise ValueError("n_samples must be at least 2")
+    for t in ts:
+        _check_threshold(t)
+    payloads = _execute(_task_counts, source, (k, tuple(ts), budget),
+                        n_samples, workers)
+    m = len(ts)
+    sums = [sum(p[0][a] for p in payloads) for a in range(m)]
+    products = [[sum(p[1][a][b] for p in payloads) for b in range(m)]
+                for a in range(m)]
+    return sums, products
 
 
 # -- experiments --------------------------------------------------------------
@@ -238,11 +248,8 @@ def _execute(name, source, params, n_samples, workers):
 def mc_integral(source, k: int, t: float, n_samples: int,
                 workers: int = 1, budget: int = DEFAULT_BUDGET) -> McEstimate:
     """Mean transform count over sampled lattices at threshold t."""
-    if n_samples < 2:
-        raise ValueError("n_samples must be at least 2")
-    payloads = _execute("count", source, (k, t, budget), n_samples, workers)
-    total = sum(p[0] for p in payloads)
-    total_sq = sum(p[1] for p in payloads)
+    (total,), ((total_sq,),) = _count_moments(source, k, (t,), n_samples,
+                                              workers, budget)
     return McEstimate(n_samples, total, total_sq,
                       sampler=_source_label(source), seed=_source_seed(source))
 
@@ -276,19 +283,12 @@ def scaling_ratio(source, k: int, t: float, n_samples: int,
     Counts at both thresholds come from the same lattice stream, so the
     ratio standard error uses the paired covariance (delta method).
     """
-    if n_samples < 2:
-        raise ValueError("n_samples must be at least 2")
     if not t > 0 or factor <= 1.0:
         raise ValueError("need t > 0 and factor > 1")
-    n_dim = source.n if isinstance(source, SamplerSpec) else _draw(source, 0).dim
+    n_dim = _source_dim(source)
     t2 = factor * t
-    payloads = _execute("count_pair", source, (k, t, t2, budget),
-                        n_samples, workers)
-    sx = sum(p[0] for p in payloads)
-    sy = sum(p[1] for p in payloads)
-    sxx = sum(p[2] for p in payloads)
-    syy = sum(p[3] for p in payloads)
-    sxy = sum(p[4] for p in payloads)
+    (sx, sy), ((sxx, sxy), (_, syy)) = _count_moments(
+        source, k, (t, t2), n_samples, workers, budget)
     n = n_samples
     if sx == 0:
         raise InvariantViolationError(
@@ -339,8 +339,9 @@ def stability_mass(source, n_samples: int, workers: int = 1,
     """Fraction of sampled lattices with every rank-k invariant >= 1."""
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    n_dim = source.n if isinstance(source, SamplerSpec) else _draw(source, 0).dim
-    payloads = _execute("mass", source, (n_dim, budget), n_samples, workers)
+    n_dim = _source_dim(source)
+    payloads = _execute(_task_mass, source, (n_dim, budget), n_samples,
+                        workers)
     label = _source_label(source)
     seed = _source_seed(source)
     per_k = []
@@ -393,11 +394,11 @@ def normalization_ratio(source, k: int, t_list, n_samples: int,
     ts = sorted(float(t) for t in t_list)
     if len(ts) < 2:
         raise ValueError("need at least two thresholds")
-    n_dim = source.n if isinstance(source, SamplerSpec) else _draw(source, 0).dim
+    n_dim = _source_dim(source)
+    sums, products = _count_moments(source, k, ts, n_samples, workers, budget)
     rows = []
-    for t in ts:
-        est = mc_integral(source, k, t, n_samples, workers=workers,
-                          budget=budget)
+    for a, t in enumerate(ts):
+        est = McEstimate(n_samples, sums[a], products[a][a])
         ref = math.exp(constants.thunder_integral_log(n_dim, k, t))
         rows.append(NormalizationRow(
             t=t, mean=est.mean, stderr=est.stderr, reference=ref,
@@ -438,8 +439,8 @@ def alpha_quantiles(source, k: int, n_samples: int, workers: int = 1,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    n_dim = source.n if isinstance(source, SamplerSpec) else _draw(source, 0).dim
-    payloads = _execute("alpha", source, (k, budget), n_samples, workers)
+    n_dim = _source_dim(source)
+    payloads = _execute(_task_alpha, source, (k, budget), n_samples, workers)
     values: list[float] = []
     for p in payloads:
         values.extend(p)

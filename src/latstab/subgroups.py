@@ -14,9 +14,11 @@ projection orthogonal to it. Completeness rests on two classical facts:
 
 So every primitive subgroup with covolume <= T is reached by branching over
 primitive vectors of norm <= sqrt(g_k) * T^(1/k) and recursing with
-threshold T / |v|. Candidates are saturated and their covolume is evaluated
-in exact arithmetic before any decision is made; the floating-point search
-radii only ever carry a small relative slack.
+threshold T / |v|. Collected candidates are saturated and every covolume is
+evaluated in exact arithmetic before any decision is made; exists_below
+decides on each candidate's own covolume, since by completeness a saturation
+below the threshold is a candidate itself. The floating-point search radii
+only ever carry a small relative slack.
 """
 
 from __future__ import annotations
@@ -226,15 +228,10 @@ def exists_below(lattice: Lattice, k: int, bound: float,
     if not bound > 0:
         return False
     search = _Search(bound, budget)
-
-    def hit(value: float) -> bool:
-        return value <= bound if inclusive else value < bound
-
+    # every primitive subgroup below the threshold is a candidate of its own
+    # (completeness), so a candidate's own exact covolume decides
     for rows in _candidates(_top_level(lattice), k, 1.0, search):
         covol = subgroup_covolume(lattice, rows)
-        if hit(covol):
-            return True
-        canon = saturate(rows)
-        if canon != rows and hit(subgroup_covolume(lattice, canon)):
+        if covol < bound or (inclusive and covol == bound):
             return True
     return False

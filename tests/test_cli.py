@@ -82,6 +82,11 @@ def test_usage_errors(tmp_path):
         run(["stability-mass", "--n", "2", "--sampler", "bogus",
              "--samples", "5", "--seed", "1", "--output", str(out)])
     assert err.value.code == 1
+    # thresholds whose search radius would overflow
+    for bad in ("inf", "1e300"):
+        assert run(["verify-siegel", "--n", "2", "--k", "1", "--t", bad,
+                    "--t", "1", "--sampler", "exact2d", "--samples", "4",
+                    "--seed", "1", "--output", str(out)]) == 1
 
 
 def test_covrad_refuses_large_n(tmp_path):
@@ -108,6 +113,38 @@ def test_covrad_golden_bytes(tmp_path):
     assert run(COVRAD_GOLDEN + ["--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "fda571edcc92882afa779dc6fd09390b61593e3c495bc40f5d3e66c6ac94ef05")
+
+
+# CSV digests pinned at fixed seeds: a refactor must not move one byte
+GOLDEN = [
+    (["verify-siegel", "--n", "2", "--k", "1", "--t", "0.8", "--t", "1.0",
+      "--t", "1.2", "--sampler", "exact2d", "--samples", "300", "--seed", "5"],
+     "695fa6dce28d2b4b5b945ad2f69f8256b6cde2c70d7a90bb53a73b7b466fd2fc"),
+    (["verify-siegel", "--n", "2", "--k", "1", "--t", "1.0",
+      "--sampler", "exact2d", "--samples", "300", "--seed", "5"],
+     "fa48deffe79a7248d27b63dfac4cac56b457ec83479848fa2f94f580ac5a1081"),
+    (["verify-siegel", "--n", "3", "--k", "2", "--t", "0.7", "--t", "1.1",
+      "--sampler", "gm", "--samples", "200", "--seed", "9"],
+     "96ea2ecc044db77d569459011a5a8ba73426306923eba3e96362f8dff853ccda"),
+    (["verify-siegel", "--n", "3", "--k", "2", "--t", "0.7", "--t", "1.1",
+      "--sampler", "gm", "--samples", "200", "--seed", "9", "--workers", "2"],
+     "96ea2ecc044db77d569459011a5a8ba73426306923eba3e96362f8dff853ccda"),
+    (["stability-mass", "--n", "5", "--sampler", "gm", "--samples", "300",
+      "--seed", "21"],
+     "8e5e61bb2b04e61ac056f40e0e63d95c7ec830b66b651476141ed9be225ee1dc"),
+    (["stability-mass", "--n", "4", "--sampler", "gauss", "--samples", "300",
+      "--seed", "21"],
+     "c787f498617c1edeba90a1135d6991c596acba96d70f980fde312c7f387c44fb"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN, ids=[
+    "siegel-n2-3t", "siegel-n2-1t", "siegel-n3-k2", "siegel-n3-k2-w2",
+    "mass-n5-gm", "mass-n4-gauss"])
+def test_golden_bytes(tmp_path, argv, digest):
+    out = tmp_path / "out.csv"
+    assert run(argv + ["--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_covrad_replay_reproduces_bytes(tmp_path):
@@ -197,6 +234,21 @@ def test_sample_command_and_manifest(tmp_path):
     lat = ls.read_lattice(outdir / "lattice_000000.txt")
     assert abs(lat.covolume - 1.0) <= 1e-9
     assert lat.exact_basis is not None
+
+
+def test_sample_worker_independent(tmp_path):
+    # 9 samples at 2 workers is enough to take the parallel path
+    args = ["sample", "--sampler", "gm", "--n", "3", "--samples", "9",
+            "--seed", "4"]
+    assert run(args + ["--workers", "1", "--output-dir",
+                       str(tmp_path / "w1")]) == 0
+    assert run(args + ["--workers", "2", "--output-dir",
+                       str(tmp_path / "w2")]) == 0
+    files = sorted(p.name for p in (tmp_path / "w1").glob("lattice_*.txt"))
+    assert len(files) == 9
+    for name in files:
+        assert ((tmp_path / "w1" / name).read_bytes()
+                == (tmp_path / "w2" / name).read_bytes())
 
 
 def test_alpha_quantiles_command(tmp_path):

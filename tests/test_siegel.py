@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latstab as ls
+from latstab import siegel
 from latstab.errors import InvariantViolationError
 from latstab.siegel import McEstimate
 from conftest import random_unimodular
@@ -199,6 +200,36 @@ def test_normalization_ratio_n2():
     assert rep.scaling_consistent
     with pytest.raises(ValueError):
         ls.normalization_ratio(spec, 1, [1.0], 100)
+
+
+def test_normalization_ratio_draws_each_lattice_once(monkeypatch):
+    spec = ls.SamplerSpec(kind="goldstein_mayer", n=3, seed=61, p=2**31 - 1)
+    ts = [0.7, 1.0, 1.3]
+    singles = [ls.mc_integral(spec, 1, t, 40) for t in ts]
+    draws = []
+    real = siegel.sample_lattice
+
+    def counting(s):
+        draws.append(s.stream)
+        return real(s)
+
+    monkeypatch.setattr(siegel, "sample_lattice", counting)
+    rep = ls.normalization_ratio(spec, 1, ts, 40)
+    assert sorted(draws) == list(range(40))
+    # tallying one search at the largest t equals a search per t
+    for row, est in zip(rep.rows, singles):
+        assert (row.mean, row.stderr) == (est.mean, est.stderr)
+
+
+def test_counting_rejects_overflowing_thresholds():
+    spec = ls.SamplerSpec(kind="exact_2d", n=2, seed=3)
+    for bad in (math.inf, math.nan, 1e300):
+        with pytest.raises(ValueError, match="threshold"):
+            ls.normalization_ratio(spec, 1, [bad, 1.0], 10)
+        with pytest.raises(ValueError, match="threshold"):
+            ls.mc_integral(spec, 1, bad, 10)
+    with pytest.raises(ValueError, match="threshold"):
+        ls.scaling_ratio(spec, 1, 1e154, 10)  # t passes, factor * t does not
 
 
 def test_scaling_ratio_n2():

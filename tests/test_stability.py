@@ -7,6 +7,7 @@ import pytest
 
 import latstab as ls
 from latstab.stability import profile_csv_rows
+from latstab.subgroups import exists_below
 from conftest import random_unimodular
 from oracles import brute_force_min_covolume
 
@@ -82,6 +83,23 @@ def test_alpha_oracle_equivalence_small():
                 assert abs(covol - oracle) <= 1e-9 * max(1.0, oracle)
                 assert abs(sub.covolume - covol) == 0.0
                 assert sub.primitive
+
+
+def test_exists_below_against_oracle():
+    for n in (2, 3, 4):
+        for i in range(3):
+            lat = random_unimodular(n, seed=89, stream=i)
+            for k in range(1, n):
+                m = brute_force_min_covolume(lat, k)
+                covol, _ = ls.min_covolume(lat, k)
+                assert abs(covol - m) <= 1e-9 * m
+                # covol is the minimum as the search itself evaluates it
+                for bound in (m * (1 - 1e-6), m, covol, m * (1 + 1e-6)):
+                    for inclusive in (False, True):
+                        expected = (covol <= bound if inclusive
+                                    else covol < bound)
+                        assert exists_below(lat, k, bound,
+                                            inclusive=inclusive) == expected
 
 
 def test_alpha_duality_identity():
