@@ -137,7 +137,11 @@ def _run_constants(params: dict) -> list[Path]:
 
 def _run_alpha(params: dict) -> list[Path]:
     lattice = read_lattice(params["lattice_file"])
-    budget = params.get("budget") or DEFAULT_BUDGET
+    budget = params.get("budget")
+    if budget is None:
+        budget = DEFAULT_BUDGET
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     k = params.get("k")
     if k is not None:
         value, sub = stability.alpha(lattice, k, budget)
@@ -228,9 +232,10 @@ def _run_verify_siegel(params: dict) -> list[Path]:
     if len(t_list) == 1:
         print("warning: single threshold given; the constancy check "
               "across t is skipped")
+        ref_log = constants.thunder_integral_log(n, k, t_list[0])
         est = siegel.mc_integral(spec, k, t_list[0], params["samples"],
                                  workers=params["workers"])
-        ref = math.exp(constants.thunder_integral_log(n, k, t_list[0]))
+        ref = math.exp(ref_log)
         rows.append(("verify_siegel", n, k, t_list[0], spec.label(), spec.p,
                      spec.seed, est.n_samples, est.mean, est.stderr, ref,
                      est.mean / ref, est.stderr / ref))

@@ -130,7 +130,7 @@ def b_constant_log(n: int, k: int) -> float:
 def thunder_integral_log(n: int, k: int, t: float) -> float:
     """log of B(n, k) * t^n / n."""
     if not t > 0:
-        raise ValueError("t must be positive")
+        raise ValueError(f"threshold t must be positive, got {t!r}")
     return b_constant_log(n, k) + n * math.log(t) - math.log(n)
 
 

@@ -395,11 +395,12 @@ def normalization_ratio(source, k: int, t_list, n_samples: int,
     if len(ts) < 2:
         raise ValueError("need at least two thresholds")
     n_dim = _source_dim(source)
+    ref_logs = [constants.thunder_integral_log(n_dim, k, t) for t in ts]
     sums, products = _count_moments(source, k, ts, n_samples, workers, budget)
     rows = []
     for a, t in enumerate(ts):
         est = McEstimate(n_samples, sums[a], products[a][a])
-        ref = math.exp(constants.thunder_integral_log(n_dim, k, t))
+        ref = math.exp(ref_logs[a])
         rows.append(NormalizationRow(
             t=t, mean=est.mean, stderr=est.stderr, reference=ref,
             ratio=est.mean / ref, ratio_stderr=est.stderr / ref,
@@ -440,11 +441,11 @@ def alpha_quantiles(source, k: int, n_samples: int, workers: int = 1,
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     n_dim = _source_dim(source)
+    row = constants.rankin_row(n_dim, k)
     payloads = _execute(_task_alpha, source, (k, budget), n_samples, workers)
     values: list[float] = []
     for p in payloads:
         values.extend(p)
-    row = constants.rankin_row(n_dim, k)
     if row.alpha_bar is not None:
         worst = max(values)
         if worst > row.alpha_bar + 1e-9:

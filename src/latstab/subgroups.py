@@ -14,11 +14,12 @@ projection orthogonal to it. Completeness rests on two classical facts:
 
 So every primitive subgroup with covolume <= T is reached by branching over
 primitive vectors of norm <= sqrt(g_k) * T^(1/k) and recursing with
-threshold T / |v|. Collected candidates are saturated and every covolume is
-evaluated in exact arithmetic before any decision is made; exists_below
-decides on each candidate's own covolume, since by completeness a saturation
-below the threshold is a candidate itself. The floating-point search radii
-only ever carry a small relative slack.
+threshold T / |v|. Every candidate is primitive by construction: a primitive
+vector completed to a unimodular basis, followed by a primitive candidate of
+the projection. Its Hermite normal form is therefore the canonical basis of
+its saturation, and candidates are canonicalised by HNF alone. Every
+covolume is evaluated in exact arithmetic before any decision is made; the
+floating-point search radii only ever carry a small relative slack.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from .enumeration import (
 from .lattice import (
     IntRows,
     Lattice,
+    canonical_form,
     exact_gram_determinant,
-    saturate,
     subgroup_covolume,
 )
 from .reduction import dot, gs_frame, lll_rows
@@ -48,15 +49,16 @@ TIE_RTOL = 1e-12
 class _Level:
     """Residual lattice of one recursion level.
 
-    rows are float basis vectors living in the ambient R^n (projected when
-    the level is below the top); lift maps residual integer coordinates back
-    to integer coordinates in the ambient lattice basis.
+    frame is the Gram-Schmidt frame of the level's LLL-reduced float rows,
+    which live in the ambient R^n (projected when the level is below the
+    top); lift maps residual integer coordinates back to integer coordinates
+    in the ambient lattice basis.
     """
 
-    __slots__ = ("rows", "lift")
+    __slots__ = ("frame", "lift")
 
-    def __init__(self, rows, lift):
-        self.rows = rows
+    def __init__(self, frame, lift):
+        self.frame = frame
         self.lift = lift
 
 
@@ -69,26 +71,21 @@ class _Search:
 
 
 def _top_level(lattice: Lattice) -> _Level:
-    rows, u = lattice._reduced
-    return _Level([row[:] for row in rows], [list(r) for r in u])
-
-
-def _reduce_level(level: _Level) -> _Level:
-    rows, u = lll_rows(level.rows)
-    return _Level(rows, intmat.matmul(u, level.lift))
+    return _Level(lattice._frame, lattice._reduced[1])
 
 
 def _project(level: _Level, x):
     """Split the level along the primitive residual vector x.
 
     Returns (ambient coords of the branch vector, its residual norm, and the
-    level formed by the remaining rows projected orthogonally to it).
+    reduced level formed by the remaining rows projected orthogonally to it).
     """
+    rows = level.frame.rows
     w = intmat.complete_primitive_row(x)
-    m = len(level.rows)
-    width = len(level.rows[0])
+    m = len(rows)
+    width = len(rows[0])
     new_rows = [
-        [sum(w[i][j] * level.rows[j][c] for j in range(m)) for c in range(width)]
+        [sum(w[i][j] * rows[j][c] for j in range(m)) for c in range(width)]
         for i in range(m)
     ]
     lift2 = intmat.matmul(w, level.lift)
@@ -99,7 +96,9 @@ def _project(level: _Level, x):
     for r in new_rows[1:]:
         f = dot(r, v) / vn2
         proj.append([rc - f * vc for rc, vc in zip(r, v)])
-    return lift2[0], vnorm, _Level(proj, lift2[1:])
+    reduced, u = lll_rows(proj)
+    sub = _Level(gs_frame(reduced), intmat.matmul(u, lift2[1:]))
+    return lift2[0], vnorm, sub
 
 
 def _candidates(level: _Level, k: int, scale: float, search: _Search):
@@ -110,40 +109,24 @@ def _candidates(level: _Level, k: int, scale: float, search: _Search):
     which gives the drivers a cheap valid witness and, in minimization mode,
     an immediate upper bound before any radius is computed.
     """
-    level = _reduce_level(level)
-    m = len(level.rows)
-    if k > m:
-        return
-    yield [row[:] for row in level.lift[:k]]
-    if k == m:
+    yield list(level.lift[:k])
+    if k == len(level.lift):
         # the only primitive rank-m subgroup of a rank-m lattice is itself
-        return
-    if k == 1:
-        limit = (search.threshold / scale) * SLACK
-        if limit <= 0:
-            return
-        for x, n2 in primitive_half_vectors(gs_frame(level.rows), limit,
-                                            counter=search.counter):
-            if sqrt(n2) > (search.threshold / scale) * SLACK:
-                break  # sorted ascending; threshold may have shrunk
-            yield [_apply_lift(x, level.lift)]
         return
     bound = sqrt(hermite_upper(k))
     radius = bound * (search.threshold / scale) ** (1.0 / k) * SLACK
     if radius <= 0:
         return
-    for x, n2 in primitive_half_vectors(gs_frame(level.rows), radius,
+    for x, n2 in primitive_half_vectors(level.frame, radius,
                                         counter=search.counter):
         if sqrt(n2) > bound * (search.threshold / scale) ** (1.0 / k) * SLACK:
-            break
+            break  # sorted ascending; threshold may have shrunk
+        if k == 1:
+            yield intmat.matmul([x], level.lift)
+            continue
         vcoords, vnorm, sub = _project(level, x)
         for rest in _candidates(sub, k - 1, scale * vnorm, search):
-            yield [list(vcoords)] + rest
-
-
-def _apply_lift(x, lift):
-    return [sum(x[i] * lift[i][j] for i in range(len(x)))
-            for j in range(len(lift[0]))]
+            yield [vcoords] + rest
 
 
 def _tie_key(coords: IntRows):
@@ -158,8 +141,8 @@ def minimal_subgroup(lattice: Lattice, k: int,
     """Minimal covolume over rank-k subgroups, with a canonical minimizer.
 
     The returned coordinate matrix is the Hermite normal form of the
-    saturated minimizer; among exact covolume ties the canonical matrix
-    preferred by _tie_key wins.
+    minimizer, which is primitive by construction; among exact covolume
+    ties the canonical matrix preferred by _tie_key wins.
     """
     if not 1 <= k <= lattice.dim:
         raise ValueError(f"rank {k} out of range for dimension {lattice.dim}")
@@ -167,7 +150,7 @@ def minimal_subgroup(lattice: Lattice, k: int,
     best_covol: float | None = None
     ties: dict[IntRows, float] = {}
     for rows in _candidates(_top_level(lattice), k, 1.0, search):
-        canon = saturate(rows)
+        canon = canonical_form(rows)
         covol = subgroup_covolume(lattice, canon)
         if best_covol is None or covol < best_covol * (1 - TIE_RTOL):
             best_covol = covol
@@ -179,14 +162,14 @@ def minimal_subgroup(lattice: Lattice, k: int,
             search.threshold = covol * SLACK
     if best_covol is None:
         raise AssertionError("subgroup search yielded no candidate")
-    if len(ties) > 1 and lattice.exact_basis is not None:
-        # resolve near-ties exactly on the integer Gram determinants
-        exact = {c: exact_gram_determinant(lattice, c) for c in ties}
-        dmin = min(exact.values())
-        finalists = [c for c, d in exact.items() if d == dmin]
-        winner = min(finalists, key=_tie_key)
-        return ties[winner], winner
     finalists = [c for c, v in ties.items() if v <= best_covol * (1 + TIE_RTOL)]
+    if len(finalists) > 1 and lattice.exact_basis is not None:
+        # resolve near-ties exactly on the integer Gram determinants; the
+        # covolume is monotone in the determinant, so every exact minimizer
+        # lies in the float band
+        exact = {c: exact_gram_determinant(lattice, c) for c in finalists}
+        dmin = min(exact.values())
+        finalists = [c for c in finalists if exact[c] == dmin]
     winner = min(finalists, key=_tie_key)
     return ties[winner], winner
 
@@ -205,7 +188,7 @@ def subgroups_within(lattice: Lattice, k: int, bound: float,
     search = _Search(bound, budget)
     found: dict[IntRows, float] = {}
     for rows in _candidates(_top_level(lattice), k, 1.0, search):
-        canon = saturate(rows)
+        canon = canonical_form(rows)
         if canon in found:
             continue
         covol = subgroup_covolume(lattice, canon)

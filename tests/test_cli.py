@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from latstab import siegel
 from latstab.cli import main
 
 
@@ -87,6 +88,30 @@ def test_usage_errors(tmp_path):
         assert run(["verify-siegel", "--n", "2", "--k", "1", "--t", bad,
                     "--t", "1", "--sampler", "exact2d", "--samples", "4",
                     "--seed", "1", "--output", str(out)]) == 1
+    # a node budget below 1 is not a budget
+    f = tmp_path / "id2.txt"
+    f.write_text("2\n1 0\n0 1\n")
+    for bad in ("0", "-1"):
+        assert run(["alpha", "--lattice-file", str(f), "--budget", bad]) == 1
+
+
+def test_out_of_range_rank_draws_nothing(tmp_path, monkeypatch):
+    draws = []
+    real = siegel.sample_lattice
+
+    def counting(spec):
+        draws.append(spec.stream)
+        return real(spec)
+
+    monkeypatch.setattr(siegel, "sample_lattice", counting)
+    out = tmp_path / "x.csv"
+    common = ["--n", "4", "--sampler", "gm", "--samples", "300", "--seed", "1",
+              "--workers", "1", "--output", str(out)]
+    for k in ("4", "0"):
+        for ts in (["--t", "1.0"], ["--t", "0.8", "--t", "1.0"]):
+            assert run(["verify-siegel", "--k", k] + ts + common) == 1
+        assert run(["alpha-quantiles", "--k", k] + common) == 1
+    assert draws == []
 
 
 def test_covrad_refuses_large_n(tmp_path):
@@ -135,16 +160,34 @@ GOLDEN = [
     (["stability-mass", "--n", "4", "--sampler", "gauss", "--samples", "300",
       "--seed", "21"],
      "c787f498617c1edeba90a1135d6991c596acba96d70f980fde312c7f387c44fb"),
+    (["alpha-quantiles", "--n", "6", "--k", "4", "--sampler", "gm",
+      "--samples", "40", "--seed", "11"],
+     "3a9754b8370d1dc2ca693b053762db1cd98d3c086e9d434dfd2a7538fe26618f"),
+    (["alpha-quantiles", "--n", "5", "--k", "2", "--sampler", "gauss",
+      "--samples", "100", "--seed", "12"],
+     "4881bad8113c53fd206805b6c86c3bb8681c55e69536a6969821b55f74b46151"),
 ]
 
 
 @pytest.mark.parametrize("argv, digest", GOLDEN, ids=[
     "siegel-n2-3t", "siegel-n2-1t", "siegel-n3-k2", "siegel-n3-k2-w2",
-    "mass-n5-gm", "mass-n4-gauss"])
+    "mass-n5-gm", "mass-n4-gauss", "quantiles-n6-k4-gm",
+    "quantiles-n5-k2-gauss"])
 def test_golden_bytes(tmp_path, argv, digest):
     out = tmp_path / "out.csv"
     assert run(argv + ["--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_alpha_golden_bytes(tmp_path):
+    # D4 scaled to covolume 1: many exact covolume ties at every rank
+    f = tmp_path / "d4.txt"
+    f.write_text("4\n1 -1 0 0\n0 1 -1 0\n0 0 1 -1\n0 0 1 1\n"
+                 "scale: 0.8408964152537145\n")
+    out = tmp_path / "d4.json"
+    assert run(["alpha", "--lattice-file", str(f), "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "e0c6df22fb089a948dd28518c0bf3f66e47b061e79f5f21bf4073dd0d478f5a4")
 
 
 def test_covrad_replay_reproduces_bytes(tmp_path):

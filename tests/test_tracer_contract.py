@@ -2,6 +2,7 @@
 lists must exist, or a traced benchmark run aborts."""
 
 import importlib
+import inspect
 from functools import cached_property
 from pathlib import Path
 
@@ -35,5 +36,9 @@ def test_tracer_hooks_resolve():
     subgroups = importlib.import_module("latstab.subgroups")
     enumeration = importlib.import_module("latstab.enumeration")
     assert callable(subgroups._candidates)
+    # the tracer reads the search threshold from the fourth argument
+    params = list(inspect.signature(subgroups._candidates).parameters)
+    assert params == ["level", "k", "scale", "search"]
+    assert "threshold" in subgroups._Search.__slots__
     assert subgroups.SLACK > 1
     assert "nodes" in enumeration.NodeCounter.__slots__
