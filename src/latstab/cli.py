@@ -19,6 +19,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass
+from functools import cache
 from pathlib import Path
 
 from . import __version__, constants, siegel, stability
@@ -370,11 +371,16 @@ def _add_sampler_args(sub, with_workers: bool = True) -> None:
     sub.add_argument("--seed", type=int, default=None,
                      help="RNG seed; generated and printed when omitted")
     if with_workers:
-        sub.add_argument("--workers", type=int, default=_default_workers(),
+        # default None: _params_from_args reads LATSTAB_WORKERS at each call
+        sub.add_argument("--workers", type=int, default=None,
                          help="worker processes; never changes the results")
 
 
+@cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: a build leaves a few
+    hundred argparse objects in reference cycles, which only a full garbage
+    collection frees."""
     parser = _Parser(prog="latstab")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
@@ -436,6 +442,8 @@ def _params_from_args(args) -> dict:
     skip = {"command"}
     params = {key: value for key, value in vars(args).items()
               if key not in skip}
+    if "workers" in params and params["workers"] is None:
+        params["workers"] = _default_workers()
     return params
 
 

@@ -34,8 +34,13 @@ class NodeCounter:
         self.nodes += amount
         if self.nodes > self.budget:
             raise BudgetExceededError(
-                f"enumeration exceeded its node budget of {self.budget}"
+                f"enumeration exceeded its node budget of {self.budget} "
+                f"after {self.nodes} nodes{self.context()}"
             )
+
+    def context(self) -> str:
+        """What a budget error should name besides the nodes spent."""
+        return ""
 
 
 def _fincke_pohst(frame: Frame, centre, r2: float, counter: NodeCounter,

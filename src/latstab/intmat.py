@@ -129,6 +129,22 @@ def hnf_rows(rows) -> IntMatrix:
     return a
 
 
+def kernel_rows(rows) -> IntMatrix:
+    """Basis of the integer kernel {x in Z^n : rows @ x == 0}.
+
+    The rows must be independent. With w unimodular and w @ [rows^T | I]
+    in Hermite normal form, the rows of w whose left part vanishes span the
+    kernel over Z, so the result is always saturated.
+    """
+    r, n = len(rows), len(rows[0])
+    aug = [[int(row[j]) for row in rows] + [int(i == j) for i in range(n)]
+           for j in range(n)]
+    h = hnf_rows(aug)
+    if not any(h[r - 1][:r]):
+        raise ValueError("kernel of dependent rows")
+    return [row[r:] for row in h[r:]]
+
+
 def row_rank(rows) -> int:
     h = hnf_rows(rows)
     return sum(1 for row in h if any(row))

@@ -138,6 +138,29 @@ class Lattice:
         return gs_frame(self._reduced[0])
 
     @cached_property
+    def _dual_frame(self) -> tuple[Frame, IntRows]:
+        """Frame of a reduced basis of the dual lattice, and the lift V @ J
+        from its coordinates to coordinates in the dual basis R^-T of the
+        reduced rows R.
+
+        The frame rows are V @ J @ R^-T, with J the row reversal and V the
+        LLL transform. Row j of R^-T is b*_j / c_j - sum_{i>j} mu_ij (row i),
+        read off R's own frame. The reversed dual of a reduced basis is
+        nearly reduced, so this LLL is cheap.
+        """
+        _, mu, c, bstar = self._frame
+        n = len(c)
+        inv_t: list[list[float]] = [[]] * n
+        for j in range(n - 1, -1, -1):
+            row = [x / c[j] for x in bstar[j]]
+            for i in range(j + 1, n):
+                f = mu[i][j]
+                row = [a - f * b for a, b in zip(row, inv_t[i])]
+            inv_t[j] = row
+        rows, v = lll_rows(inv_t[::-1], DEFAULT_DELTA)
+        return gs_frame(rows), _freeze_rows(row[::-1] for row in v)
+
+    @cached_property
     def _reduced_inverse(self) -> IntRows:
         """Exact integer inverse of the reduction transform."""
         _, u = self._reduced

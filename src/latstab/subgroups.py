@@ -20,6 +20,11 @@ the projection. Its Hermite normal form is therefore the canonical basis of
 its saturation, and candidates are canonicalised by HNF alone. Every
 covolume is evaluated in exact arithmetic before any decision is made; the
 floating-point search radii only ever carry a small relative slack.
+
+Ranks k > n/2 of a lattice with an exact form are searched at rank n - k in
+the dual lattice, where the search is far cheaper (see _route); each dual
+candidate is mapped back to integer coordinates in the lattice before its
+covolume is evaluated.
 """
 
 from __future__ import annotations
@@ -62,16 +67,55 @@ class _Level:
         self.lift = lift
 
 
-class _Search:
-    __slots__ = ("threshold", "counter")
+class _Search(NodeCounter):
+    """Node budget and threshold (in the lattice's own units) of one search
+    for rank-k subgroups, run at the given rank."""
 
-    def __init__(self, threshold: float, budget: int):
+    __slots__ = ("threshold", "k", "rank")
+
+    def __init__(self, threshold: float, budget: int, k: int, rank: int):
+        super().__init__(budget)
         self.threshold = threshold
-        self.counter = NodeCounter(budget)
+        self.k = k
+        self.rank = rank
+
+    def context(self) -> str:
+        where = "the dual lattice" if self.rank != self.k else "the lattice"
+        return (f" in a rank-{self.k} subgroup search run at rank "
+                f"{self.rank} on {where}, threshold {self.threshold:.12g}")
 
 
 def _top_level(lattice: Lattice) -> _Level:
     return _Level(lattice._frame, lattice._reduced[1])
+
+
+def _direct(rows):
+    return rows
+
+
+def _route(lattice: Lattice, k: int):
+    """(level, rank, scale, to_lattice) of the search for rank-k subgroups.
+
+    Ranks above n/2 on a lattice with an exact form are searched at rank
+    n - k in the dual L*: D -> D' = D^perp cap L* is a bijection of
+    primitive subgroups with covol(D') = covol(D) / covol(L), so with scale
+    covol(L) the search threshold stays in L's units. The dual's floats only
+    steer that search: to_lattice maps each candidate back to integer
+    coordinates in L, where the drivers evaluate every covolume.
+    """
+    n = lattice.dim
+    if 2 * k <= n or k == n or lattice.exact_basis is None:
+        return _top_level(lattice), k, 1.0, _direct
+    frame, lift = lattice._dual_frame
+    u = lattice._reduced[1]
+
+    def to_lattice(rows):
+        # candidates come in coordinates y in the dual basis R^-T of the
+        # reduced rows R = u B, and x @ R is orthogonal to y @ R^-T iff
+        # x . y = 0
+        return intmat.matmul(intmat.kernel_rows(rows), u)
+
+    return _Level(frame, lift), n - k, lattice.covolume, to_lattice
 
 
 def _project(level: _Level, x):
@@ -117,8 +161,7 @@ def _candidates(level: _Level, k: int, scale: float, search: _Search):
     radius = bound * (search.threshold / scale) ** (1.0 / k) * SLACK
     if radius <= 0:
         return
-    for x, n2 in primitive_half_vectors(level.frame, radius,
-                                        counter=search.counter):
+    for x, n2 in primitive_half_vectors(level.frame, radius, counter=search):
         if sqrt(n2) > bound * (search.threshold / scale) ** (1.0 / k) * SLACK:
             break  # sorted ascending; threshold may have shrunk
         if k == 1:
@@ -146,11 +189,12 @@ def minimal_subgroup(lattice: Lattice, k: int,
     """
     if not 1 <= k <= lattice.dim:
         raise ValueError(f"rank {k} out of range for dimension {lattice.dim}")
-    search = _Search(float("inf"), budget)
+    level, rank, scale, to_lattice = _route(lattice, k)
+    search = _Search(float("inf"), budget, k, rank)
     best_covol: float | None = None
     ties: dict[IntRows, float] = {}
-    for rows in _candidates(_top_level(lattice), k, 1.0, search):
-        canon = canonical_form(rows)
+    for rows in _candidates(level, rank, scale, search):
+        canon = canonical_form(to_lattice(rows))
         covol = subgroup_covolume(lattice, canon)
         if best_covol is None or covol < best_covol * (1 - TIE_RTOL):
             best_covol = covol
@@ -185,10 +229,11 @@ def subgroups_within(lattice: Lattice, k: int, bound: float,
         raise ValueError(f"rank {k} out of range for dimension {lattice.dim}")
     if not bound > 0:
         raise ValueError("bound must be positive")
-    search = _Search(bound, budget)
+    level, rank, scale, to_lattice = _route(lattice, k)
+    search = _Search(bound, budget, k, rank)
     found: dict[IntRows, float] = {}
-    for rows in _candidates(_top_level(lattice), k, 1.0, search):
-        canon = canonical_form(rows)
+    for rows in _candidates(level, rank, scale, search):
+        canon = canonical_form(to_lattice(rows))
         if canon in found:
             continue
         covol = subgroup_covolume(lattice, canon)
@@ -210,11 +255,12 @@ def exists_below(lattice: Lattice, k: int, bound: float,
         raise ValueError(f"rank {k} out of range for dimension {lattice.dim}")
     if not bound > 0:
         return False
-    search = _Search(bound, budget)
+    level, rank, scale, to_lattice = _route(lattice, k)
+    search = _Search(bound, budget, k, rank)
     # every primitive subgroup below the threshold is a candidate of its own
     # (completeness), so a candidate's own exact covolume decides
-    for rows in _candidates(_top_level(lattice), k, 1.0, search):
-        covol = subgroup_covolume(lattice, rows)
+    for rows in _candidates(level, rank, scale, search):
+        covol = subgroup_covolume(lattice, to_lattice(rows))
         if covol < bound or (inclusive and covol == bound):
             return True
     return False

@@ -312,3 +312,25 @@ def test_seed_generated_and_printed(tmp_path, capsys):
     # the generated seed lands in the manifest so the run can be replayed
     manifest = json.loads((tmp_path / "m.csv.manifest.json").read_text())
     assert isinstance(manifest["parameters"]["seed"], int)
+
+
+def test_parser_built_once_workers_read_per_call(tmp_path, monkeypatch):
+    # the parser is shared by every call in a process, and the
+    # LATSTAB_WORKERS default is still read at each call
+    from latstab.cli import build_parser
+    assert build_parser() is build_parser()
+    out = tmp_path / "m.csv"
+    argv = ["stability-mass", "--n", "2", "--sampler", "exact2d",
+            "--samples", "4", "--seed", "1", "--output", str(out)]
+    for env, want in (("3", 3), (None, 1)):
+        if env is None:
+            monkeypatch.delenv("LATSTAB_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("LATSTAB_WORKERS", env)
+        assert run(argv) == 0
+        manifest = json.loads((tmp_path / "m.csv.manifest.json").read_text())
+        assert manifest["parameters"]["workers"] == want
+    # more workers than samples allow: still serial, no pool is started
+    assert run(argv + ["--workers", "5"]) == 0
+    manifest = json.loads((tmp_path / "m.csv.manifest.json").read_text())
+    assert manifest["parameters"]["workers"] == 5

@@ -107,6 +107,32 @@ def test_saturation_rejects_rank_deficient():
         intmat.saturation([[1, 2, 3], [2, 4, 6]])
 
 
+def test_kernel_rows_is_the_saturated_orthogonal_complement():
+    rng = np.random.default_rng(13)
+    for trial in range(60):
+        n = int(rng.integers(2, 7))
+        k = int(rng.integers(1, n))
+        while True:
+            a = rng.integers(-5, 6, size=(k, n))
+            if np.linalg.matrix_rank(np.array(a, dtype=float)) == k:
+                break
+        a = [[int(x) for x in row] for row in a]
+        ker = intmat.kernel_rows(a)
+        assert len(ker) == n - k and intmat.row_rank(ker) == n - k
+        assert all(sum(x * y for x, y in zip(r, v)) == 0
+                   for r in a for v in ker)
+        assert intmat.saturation(ker)[1] == 1
+        # in Z^n a primitive subgroup and its orthogonal complement have
+        # the same covolume
+        sat, _ = intmat.saturation(a)
+        assert integer_gram_det(ker) == integer_gram_det(sat)
+
+
+def test_kernel_rows_rejects_dependent_rows():
+    with pytest.raises(ValueError):
+        intmat.kernel_rows([[1, 2, 3], [2, 4, 6]])
+
+
 @given(st.lists(st.integers(-20, 20), min_size=1, max_size=6))
 def test_complete_primitive_row(vec):
     g = 0

@@ -1,6 +1,13 @@
-"""The subgroup search: primitive candidates, no redundant exact work."""
+"""The subgroup search: primitive candidates, no redundant exact work, and
+ranks above n/2 searched in the dual with the same results."""
 
-from latstab import intmat, lattice, subgroups
+import re
+
+import pytest
+
+from latstab import Lattice, intmat, lattice, subgroups
+from latstab.enumeration import DEFAULT_BUDGET
+from latstab.errors import BudgetExceededError
 from latstab.lattice import saturation_index
 from conftest import random_unimodular
 
@@ -14,10 +21,19 @@ def _lattices(per_n: int):
                 yield random_unimodular(n, seed=41, stream=stream, kind=kind)
 
 
+def _direct_candidates(lat, k, bound):
+    """Candidates of the rank-k search run on the lattice itself, which the
+    drivers replace by a search in the dual when k > n/2."""
+    search = subgroups._Search(bound, DEFAULT_BUDGET, k, k)
+    return subgroups._candidates(subgroups._top_level(lat), k, 1.0, search)
+
+
 def test_candidates_are_primitive_by_construction(monkeypatch):
     # every candidate of a fixed and of a shrinking threshold reaches the
     # drivers' canonicalisation with saturation index 1, so its HNF is the
-    # canonical basis of its saturation
+    # canonical basis of its saturation; at k > n/2 on exact lattices those
+    # candidates come back from the dual, and the direct search's are
+    # checked as well
     indices = []
     real = subgroups.canonical_form
 
@@ -30,6 +46,9 @@ def test_candidates_are_primitive_by_construction(monkeypatch):
         for k in range(1, lat.dim + 1):
             subgroups.subgroups_within(lat, k, 1.3)
             subgroups.minimal_subgroup(lat, k)
+            if 2 * k > lat.dim:
+                indices += [saturation_index(rows)
+                            for rows in _direct_candidates(lat, k, 1.3)]
     assert len(indices) > 10_000
     assert set(indices) == {1}
 
@@ -71,3 +90,117 @@ def test_search_reuses_the_cached_reduction(monkeypatch):
     for lat in lats:
         assert subgroups.subgroups_within(lat, 1, 1.3)
     assert calls == []
+
+
+# -- ranks above n/2: the search runs in the dual ------------------------------
+
+
+def _scaled(rows):
+    """Integer rows scaled to covolume 1."""
+    det = abs(intmat.bareiss_det(rows))
+    return Lattice.from_exact(rows, det ** (-1.0 / len(rows)))
+
+
+def _d_n(n):
+    rows = [[int(j == i) - int(j == i + 1) for j in range(n)]
+            for i in range(n - 1)]
+    return rows + [[0] * (n - 2) + [1, 1]]
+
+
+def _a_n_plus_ones(n):
+    # the root lattice A_(n-1) together with the all-ones vector
+    rows = [[int(j == i) - int(j == i + 1) for j in range(n)]
+            for i in range(n - 1)]
+    return rows + [[1] * n]
+
+
+def _routed_lattices(n):
+    # tie-heavy root lattices and gm lattices, each with an exact form; the
+    # direct rank-5 searches at n = 6 take seconds each, so one gm lattice
+    yield Lattice.identity(n)
+    yield _scaled(_d_n(n))
+    yield _scaled(_a_n_plus_ones(n))
+    for stream in range(4 if n < 6 else 1):
+        yield random_unimodular(n, seed=47, stream=stream)
+
+
+def _driver_results(lat, k):
+    m, coords = subgroups.minimal_subgroup(lat, k)
+    within = subgroups.subgroups_within(lat, k, 1.2 ** k)
+    decisions = [subgroups.exists_below(lat, k, bound, inclusive=inclusive)
+                 for bound in (m * (1 - 1e-6), m, m * (1 + 1e-6))
+                 for inclusive in (False, True)]
+    return m, coords, within, decisions
+
+
+def _direct_route(lat, k):
+    return subgroups._top_level(lat), k, 1.0, subgroups._direct
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_dual_route_matches_the_direct_search(monkeypatch, n):
+    pairs = [(lat, k) for lat in _routed_lattices(n)
+             for k in range(n // 2 + 1, n)]
+    routed = [_driver_results(lat, k) for lat, k in pairs]
+    monkeypatch.setattr(subgroups, "_route", _direct_route)
+    direct = [_driver_results(lat, k) for lat, k in pairs]
+    for (lat, k), got, want in zip(pairs, routed, direct):
+        assert got == want, (lat.exact_basis, k)
+        # nothing lies below the minimum, and the minimum is attained
+        assert got[3] == [False, False, False, True, True, True]
+
+
+def _spy_candidates(monkeypatch):
+    calls = []
+    real = subgroups._candidates
+
+    def spy(level, k, scale, search):
+        calls.append((level, k))
+        return real(level, k, scale, search)
+
+    monkeypatch.setattr(subgroups, "_candidates", spy)
+    return calls
+
+
+def test_rank_n_minus_1_runs_at_rank_1_in_the_dual(monkeypatch):
+    calls = _spy_candidates(monkeypatch)
+    lat = random_unimodular(6, seed=53, stream=0)
+    subgroups.exists_below(lat, 5, 1.0 - 1e-12)
+    ((level, k),) = calls
+    assert k == 1
+    assert level.frame is lat._dual_frame[0]
+
+
+def test_low_ranks_build_no_dual_frame(monkeypatch):
+    calls = _spy_candidates(monkeypatch)
+    lat = random_unimodular(6, seed=53, stream=1)
+    for k in (1, 2, 3):
+        subgroups.exists_below(lat, k, 1.0)
+        subgroups.subgroups_within(lat, k, 1.1)
+        subgroups.minimal_subgroup(lat, k)
+    assert "_dual_frame" not in vars(lat)
+    assert {k for _, k in calls} <= {1, 2, 3}
+
+
+def test_float_lattices_are_searched_directly(monkeypatch):
+    calls = _spy_candidates(monkeypatch)
+    lat = random_unimodular(5, seed=53, stream=2, kind="gaussian_baseline")
+    subgroups.minimal_subgroup(lat, 4)
+    assert "_dual_frame" not in vars(lat)
+    assert calls[0][1] == 4
+
+
+def test_budget_error_names_the_search():
+    lat = random_unimodular(6, seed=53, stream=3)
+    with pytest.raises(BudgetExceededError) as dual:
+        subgroups.exists_below(lat, 5, 0.5, budget=2)
+    assert re.fullmatch(
+        r"enumeration exceeded its node budget of 2 after \d+ nodes in a "
+        r"rank-5 subgroup search run at rank 1 on the dual lattice, "
+        r"threshold 0\.5", str(dual.value))
+    with pytest.raises(BudgetExceededError) as direct:
+        subgroups.minimal_subgroup(lat, 2, budget=2)
+    assert re.fullmatch(
+        r"enumeration exceeded its node budget of 2 after \d+ nodes in a "
+        r"rank-2 subgroup search run at rank 2 on the lattice, "
+        r"threshold [0-9.]+", str(direct.value))
