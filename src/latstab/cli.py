@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -231,12 +230,11 @@ def _run_verify_siegel(params: dict) -> list[Path]:
               "ratio_stderr"]
     rows = []
     if len(t_list) == 1:
+        ref = siegel._reference(n, k, t_list[0])
         print("warning: single threshold given; the constancy check "
               "across t is skipped")
-        ref_log = constants.thunder_integral_log(n, k, t_list[0])
         est = siegel.mc_integral(spec, k, t_list[0], params["samples"],
                                  workers=params["workers"])
-        ref = math.exp(ref_log)
         rows.append(("verify_siegel", n, k, t_list[0], spec.label(), spec.p,
                      spec.seed, est.n_samples, est.mean, est.stderr, ref,
                      est.mean / ref, est.stderr / ref))
@@ -268,14 +266,14 @@ def _run_covrad(params: dict) -> list[Path]:
     if params["lattices"] < 1 or params["trials"] < 1:
         raise ValueError("lattices and trials must be at least 1")
     spec = _spec_from_params(params)
-    rows = []
-    for i in range(params["lattices"]):
-        lattice = sample_lattice(spec.with_stream(i))
+
+    def row(i, lattice):
         est = stability.covrad_lower(lattice, params["trials"],
                                      rng_seed=params["seed"] + 7919 * i)
-        rows.append((i, spec.n, spec.label(), spec.seed, est.trials,
-                     est.lower_bound,
-                     " ".join(_fmt(v) for v in est.argmax_point)))
+        return (i, spec.n, spec.label(), spec.seed, est.trials,
+                est.lower_bound, " ".join(_fmt(v) for v in est.argmax_point))
+
+    rows = siegel._map_streams(row, spec, 0, params["lattices"])
     out = Path(params["output"])
     _write_csv(out, ["index", "n", "sampler", "seed", "trials",
                      "lower_bound", "argmax_point"], rows)

@@ -1,10 +1,12 @@
-"""Ambient lattices and sublattices, with exact integer backing when available.
+"""Ambient lattices and sublattices, backed by exact integer arithmetic.
 
-A Lattice is a full-rank lattice in R^n given by basis rows. Lattices built
-by the samplers carry an exact form: an integer matrix M and a positive
-scale s with basis == s * M. All sublattice covolumes, saturations and
-indices are then evaluated in exact integer arithmetic; floating point is
-used only for norms, Gram-Schmidt data and enumeration pruning.
+A Lattice is a full-rank lattice in R^n given by basis rows. Every lattice
+has an exact form: an integer matrix M and a positive scale s with
+basis == s * M. The samplers and integer lattice files declare one; for any
+other basis the form is dyadic, since every finite float is an integer
+times a power of two. All covolumes are evaluated in exact integer
+arithmetic; floating point is used only for norms, Gram-Schmidt data and
+enumeration pruning.
 """
 
 from __future__ import annotations
@@ -95,16 +97,24 @@ class Lattice:
         return self.basis.shape[0]
 
     @cached_property
-    def covolume(self) -> float:
+    def _exact(self) -> tuple[IntRows, float]:
+        """Exact form (M, s) with basis == s * M: the declared one, or else
+        the dyadic one, s = 2^-e with the least e that makes M integral."""
         if self.exact_basis is not None:
-            d = abs(intmat.bareiss_det([list(r) for r in self.exact_basis]))
-            if d == 0:
-                raise DegenerateBasisError("exact basis is singular")
-            return math.exp(math.log(d) + self.dim * math.log(self.scale))
-        d = abs(float(np.linalg.det(self.basis)))
-        if d <= 0.0:
-            raise DegenerateBasisError("basis determinant vanished")
-        return d
+            return self.exact_basis, self.scale
+        ratios = [[x.as_integer_ratio() for x in row]
+                  for row in self.basis.tolist()]
+        den = max(q for row in ratios for _, q in row)
+        m = tuple(tuple(p * (den // q) for p, q in row) for row in ratios)
+        return m, math.ldexp(1.0, 1 - den.bit_length())
+
+    @cached_property
+    def covolume(self) -> float:
+        m, s = self._exact
+        d = abs(intmat.bareiss_det([list(r) for r in m]))
+        if d == 0:
+            raise DegenerateBasisError("exact basis is singular")
+        return math.exp(math.log(d) + self.dim * math.log(s))
 
     @cached_property
     def gram_matrix(self) -> np.ndarray:
@@ -122,10 +132,8 @@ class Lattice:
         return [list(map(float, row)) for row in self.gram_matrix]
 
     @cached_property
-    def _exact_gram(self) -> IntRows | None:
-        if self.exact_basis is None:
-            return None
-        return _freeze_rows(intmat.gram([list(r) for r in self.exact_basis]))
+    def _exact_gram(self) -> IntRows:
+        return _freeze_rows(intmat.gram([list(r) for r in self._exact[0]]))
 
     @cached_property
     def _reduced(self) -> tuple[list[list[float]], IntRows]:
@@ -192,18 +200,15 @@ def gram(lattice: Lattice) -> np.ndarray:
 
 
 def dual(lattice: Lattice) -> Lattice:
-    """Dual lattice (inverse-transpose basis)."""
-    if lattice.exact_basis is not None:
-        m = [list(r) for r in lattice.exact_basis]
-        adj, det = intmat.adjugate(m)
-        if det == 0:
-            raise DegenerateBasisError("exact basis is singular")
-        sign = 1 if det > 0 else -1
-        rows = [[sign * adj[j][i] for j in range(len(adj))]
-                for i in range(len(adj))]
-        return Lattice.from_exact(rows, 1.0 / (lattice.scale * abs(det)))
-    inv_t = np.linalg.inv(lattice.basis).T
-    return Lattice.from_rows(inv_t)
+    """Dual lattice (inverse-transpose basis), with a declared exact form."""
+    m, s = lattice._exact
+    adj, det = intmat.adjugate([list(r) for r in m])
+    if det == 0:
+        raise DegenerateBasisError("exact basis is singular")
+    sign = 1 if det > 0 else -1
+    rows = [[sign * adj[j][i] for j in range(len(adj))]
+            for i in range(len(adj))]
+    return Lattice.from_exact(rows, 1.0 / (s * abs(det)))
 
 
 def lll_reduce(lattice: Lattice, delta: float = DEFAULT_DELTA,
@@ -211,15 +216,13 @@ def lll_reduce(lattice: Lattice, delta: float = DEFAULT_DELTA,
     """LLL-reduced basis of the same lattice.
 
     The reduction is computed in floating point while the unimodular integer
-    change of basis is tracked exactly, so exact forms survive reduction.
+    change of basis is tracked exactly, so the result declares the exact
+    form u @ M of the input's.
     """
-    rows, u = lll_rows(lattice._rows, delta)
-    if lattice.exact_basis is not None:
-        m2 = intmat.matmul(u, [list(r) for r in lattice.exact_basis])
-        reduced = Lattice.from_exact(m2, lattice.scale,
-                                     provenance=lattice.provenance)
-    else:
-        reduced = Lattice.from_rows(rows, provenance=lattice.provenance)
+    _, u = lll_rows(lattice._rows, delta)
+    m, s = lattice._exact
+    reduced = Lattice.from_exact(intmat.matmul(u, [list(r) for r in m]), s,
+                                 provenance=lattice.provenance)
     if return_transform:
         return reduced, _freeze_rows(u)
     return reduced
@@ -228,35 +231,9 @@ def lll_reduce(lattice: Lattice, delta: float = DEFAULT_DELTA,
 # -- covolumes of subgroups ------------------------------------------------
 
 
-def _float_det(rows) -> float:
-    """Determinant of a small float matrix by Gaussian elimination."""
-    a = [row[:] for row in rows]
-    n = len(a)
-    det = 1.0
-    for i in range(n):
-        p = max(range(i, n), key=lambda r: abs(a[r][i]))
-        if a[p][i] == 0.0:
-            return 0.0
-        if p != i:
-            a[i], a[p] = a[p], a[i]
-            det = -det
-        piv = a[i][i]
-        det *= piv
-        for r in range(i + 1, n):
-            f = a[r][i] / piv
-            if f:
-                ar = a[r]
-                ai = a[i]
-                for c in range(i, n):
-                    ar[c] -= f * ai[c]
-    return det
-
-
 def exact_gram_determinant(lattice: Lattice, coords) -> int:
     """det(C G C^T) over the integers, G the exact Gram of the lattice."""
     gz = lattice._exact_gram
-    if gz is None:
-        raise ValueError("lattice carries no exact form")
     cg = [[sum(int(ci) * gz[i][j] for i, ci in enumerate(row))
            for j in range(len(gz))] for row in coords]
     small = [[sum(x * int(y) for x, y in zip(r, row)) for row in coords]
@@ -267,33 +244,18 @@ def exact_gram_determinant(lattice: Lattice, coords) -> int:
 def subgroup_covolume(lattice: Lattice, coords) -> float:
     """Covolume of the subgroup spanned by the given coordinate rows.
 
-    Exact integer arithmetic is used whenever the lattice has an exact form;
-    every covolume comparison in the package funnels through here so that
-    independently computed paths agree bit for bit.
+    Evaluated on the lattice's exact form, so every covolume comparison in
+    the package gives the same answer for any generators of the same
+    subgroup.
     """
     k = len(coords)
-    if lattice.exact_basis is not None:
-        d = exact_gram_determinant(lattice, coords)
-        if d <= 0:
-            raise ValueError("coordinate rows are not independent")
-        if d.bit_length() < 1000:
-            return math.sqrt(float(d)) * lattice.scale**k
-        return math.exp(0.5 * math.log(d) + k * math.log(lattice.scale))
-    # express the rows in the reduced basis first: the integer transform is
-    # exact, and forming the vectors against reduced rows avoids the
-    # cancellation that direct C G C^T evaluation suffers on skewed bases
-    red_rows, _ = lattice._reduced
-    uinv = lattice._reduced_inverse
-    n = lattice.dim
-    dred = [[sum(int(ci) * uinv[i][j] for i, ci in enumerate(row) if ci)
-             for j in range(n)] for row in coords]
-    vecs = [[sum(di * red_rows[i][c] for i, di in enumerate(drow) if di)
-             for c in range(n)] for drow in dred]
-    small = [[sum(x * y for x, y in zip(u, v)) for v in vecs] for u in vecs]
-    d = _float_det(small)
-    if d <= 0.0:
+    d = exact_gram_determinant(lattice, coords)
+    if d <= 0:
         raise ValueError("coordinate rows are not independent")
-    return math.sqrt(d)
+    scale = lattice._exact[1]
+    if d.bit_length() < 1000:
+        return math.sqrt(float(d)) * scale**k
+    return math.exp(0.5 * math.log(d) + k * math.log(scale))
 
 
 def canonical_form(coords) -> IntRows:

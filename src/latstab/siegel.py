@@ -22,7 +22,7 @@ import numpy as np
 
 from . import constants, subgroups
 from .enumeration import DEFAULT_BUDGET, TREE_SLACK
-from .errors import InvariantViolationError
+from .errors import BudgetExceededError, InvariantViolationError
 from .lattice import Lattice, Sublattice
 from .sampling import SamplerSpec, sample_lattice
 from .stability import STABILITY_TOL
@@ -114,6 +114,23 @@ def _check_threshold(t: float) -> None:
         )
 
 
+def _reference(n: int, k: int, t: float) -> float:
+    """The closed-form mean count B(n, k) t^n / n at a valid threshold t,
+    checked before any lattice is drawn: a t at which the reference is no
+    positive finite float cannot give a ratio."""
+    _check_threshold(t)
+    try:
+        ref = math.exp(constants.thunder_integral_log(n, k, t))
+    except OverflowError:
+        ref = math.inf
+    if not 0.0 < ref < math.inf:
+        raise ValueError(
+            f"threshold t = {t!r} puts the closed-form mean count "
+            f"B({n}, {k}) t^{n} / {n} outside the float range"
+        )
+    return ref
+
+
 def siegel_transform_count(lattice: Lattice, k: int, t: float,
                            budget: int = DEFAULT_BUDGET) -> TensorCount:
     """Number of signed pure tensors of norm at most t coming from primitive
@@ -160,51 +177,63 @@ def _source_dim(source) -> int:
     return source.n if isinstance(source, SamplerSpec) else _draw(source, 0).dim
 
 
+def _map_streams(work, source, start, stop) -> list:
+    """[work(i, lattice of stream i) for i in start..stop-1]; a budget error
+    raised while a lattice is processed names its stream."""
+    out = []
+    for i in range(start, stop):
+        lat = _draw(source, i)
+        try:
+            out.append(work(i, lat))
+        except BudgetExceededError as exc:
+            raise BudgetExceededError(
+                f"{exc}, on the lattice of stream {i}") from None
+    return out
+
+
 def _task_counts(source, params, start, stop):
     """One search per lattice at the largest threshold, tallied per
     threshold: per-threshold count sums and sums of pairwise products."""
     k, ts, budget = params
-    m = len(ts)
     top = max(ts)
+
+    def counts(_, lat):
+        found = subgroups.subgroups_within(lat, k, top, budget)
+        return [2 * sum(1 for covol, _ in found if covol <= t) for t in ts]
+
+    m = len(ts)
     sums = [0] * m
     products = [[0] * m for _ in range(m)]
-    for i in range(start, stop):
-        lat = _draw(source, i)
-        found = subgroups.subgroups_within(lat, k, top, budget)
-        counts = [2 * sum(1 for covol, _ in found if covol <= t) for t in ts]
-        for a, ca in enumerate(counts):
+    for row_counts in _map_streams(counts, source, start, stop):
+        for a, ca in enumerate(row_counts):
             sums[a] += ca
             row = products[a]
-            for b, cb in enumerate(counts):
+            for b, cb in enumerate(row_counts):
                 row[b] += ca * cb
     return sums, products
 
 
 def _task_mass(source, params, start, stop):
     n, budget = params
+
+    def stable_ranks(_, lat):
+        return [not subgroups.exists_below(
+                    lat, k, (1.0 - STABILITY_TOL) ** k, budget)
+                for k in range(1, n)]
+
     per_k = [0] * (n - 1)
     overall = 0
-    for i in range(start, stop):
-        lat = _draw(source, i)
-        good = True
-        for k in range(1, n):
-            bound = (1.0 - STABILITY_TOL) ** k
-            if subgroups.exists_below(lat, k, bound, budget):
-                good = False
-            else:
-                per_k[k - 1] += 1
-        overall += 1 if good else 0
+    for stable in _map_streams(stable_ranks, source, start, stop):
+        per_k = [c + s for c, s in zip(per_k, stable)]
+        overall += all(stable)
     return tuple(per_k), overall
 
 
 def _task_alpha(source, params, start, stop):
     k, budget = params
-    vals = []
-    for i in range(start, stop):
-        lat = _draw(source, i)
-        covol, _ = subgroups.minimal_subgroup(lat, k, budget)
-        vals.append(covol ** (1.0 / k))
-    return vals
+    return _map_streams(
+        lambda _, lat: subgroups.minimal_subgroup(lat, k, budget)[0]
+        ** (1.0 / k), source, start, stop)
 
 
 def _execute(task, source, params, n_samples, workers):
@@ -395,12 +424,11 @@ def normalization_ratio(source, k: int, t_list, n_samples: int,
     if len(ts) < 2:
         raise ValueError("need at least two thresholds")
     n_dim = _source_dim(source)
-    ref_logs = [constants.thunder_integral_log(n_dim, k, t) for t in ts]
+    refs = [_reference(n_dim, k, t) for t in ts]
     sums, products = _count_moments(source, k, ts, n_samples, workers, budget)
     rows = []
-    for a, t in enumerate(ts):
+    for a, (t, ref) in enumerate(zip(ts, refs)):
         est = McEstimate(n_samples, sums[a], products[a][a])
-        ref = math.exp(ref_logs[a])
         rows.append(NormalizationRow(
             t=t, mean=est.mean, stderr=est.stderr, reference=ref,
             ratio=est.mean / ref, ratio_stderr=est.stderr / ref,

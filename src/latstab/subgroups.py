@@ -21,10 +21,9 @@ its saturation, and candidates are canonicalised by HNF alone. Every
 covolume is evaluated in exact arithmetic before any decision is made; the
 floating-point search radii only ever carry a small relative slack.
 
-Ranks k > n/2 of a lattice with an exact form are searched at rank n - k in
-the dual lattice, where the search is far cheaper (see _route); each dual
-candidate is mapped back to integer coordinates in the lattice before its
-covolume is evaluated.
+Ranks k > n/2 are searched at rank n - k in the dual lattice, where the
+search is far cheaper (see _route); each dual candidate is mapped back to
+integer coordinates in the lattice before its covolume is evaluated.
 """
 
 from __future__ import annotations
@@ -96,15 +95,15 @@ def _direct(rows):
 def _route(lattice: Lattice, k: int):
     """(level, rank, scale, to_lattice) of the search for rank-k subgroups.
 
-    Ranks above n/2 on a lattice with an exact form are searched at rank
-    n - k in the dual L*: D -> D' = D^perp cap L* is a bijection of
-    primitive subgroups with covol(D') = covol(D) / covol(L), so with scale
-    covol(L) the search threshold stays in L's units. The dual's floats only
-    steer that search: to_lattice maps each candidate back to integer
-    coordinates in L, where the drivers evaluate every covolume.
+    Ranks above n/2 are searched at rank n - k in the dual L*:
+    D -> D' = D^perp cap L* is a bijection of primitive subgroups with
+    covol(D') = covol(D) / covol(L), so with scale covol(L) the search
+    threshold stays in L's units. The dual's floats only steer that search:
+    to_lattice maps each candidate back to integer coordinates in L, where
+    the drivers evaluate every covolume.
     """
     n = lattice.dim
-    if 2 * k <= n or k == n or lattice.exact_basis is None:
+    if 2 * k <= n or k == n:
         return _top_level(lattice), k, 1.0, _direct
     frame, lift = lattice._dual_frame
     u = lattice._reduced[1]
@@ -207,7 +206,7 @@ def minimal_subgroup(lattice: Lattice, k: int,
     if best_covol is None:
         raise AssertionError("subgroup search yielded no candidate")
     finalists = [c for c, v in ties.items() if v <= best_covol * (1 + TIE_RTOL)]
-    if len(finalists) > 1 and lattice.exact_basis is not None:
+    if len(finalists) > 1:
         # resolve near-ties exactly on the integer Gram determinants; the
         # covolume is monotone in the determinant, so every exact minimizer
         # lies in the float band

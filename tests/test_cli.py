@@ -3,11 +3,13 @@
 import hashlib
 import json
 import math
+import re
 
 import pytest
 
-from latstab import siegel
+from latstab import siegel, stability
 from latstab.cli import main
+from latstab.enumeration import DEFAULT_BUDGET
 
 
 def run(argv, capsys=None):
@@ -95,15 +97,21 @@ def test_usage_errors(tmp_path):
         assert run(["alpha", "--lattice-file", str(f), "--budget", bad]) == 1
 
 
-def test_out_of_range_rank_draws_nothing(tmp_path, monkeypatch):
-    draws = []
+@pytest.fixture
+def draws(monkeypatch):
+    """Streams of the lattices the experiments draw."""
+    seen = []
     real = siegel.sample_lattice
 
     def counting(spec):
-        draws.append(spec.stream)
+        seen.append(spec.stream)
         return real(spec)
 
     monkeypatch.setattr(siegel, "sample_lattice", counting)
+    return seen
+
+
+def test_out_of_range_rank_draws_nothing(tmp_path, draws):
     out = tmp_path / "x.csv"
     common = ["--n", "4", "--sampler", "gm", "--samples", "300", "--seed", "1",
               "--workers", "1", "--output", str(out)]
@@ -112,6 +120,35 @@ def test_out_of_range_rank_draws_nothing(tmp_path, monkeypatch):
             assert run(["verify-siegel", "--k", k] + ts + common) == 1
         assert run(["alpha-quantiles", "--k", k] + common) == 1
     assert draws == []
+
+
+def test_unrepresentable_reference_draws_nothing(tmp_path, draws):
+    # t = 1e-300 passes the search's own threshold check, but the closed-form
+    # mean count B(3, 1) t^3 / 3 underflows to 0 (and at t = 1e120 it
+    # overflows), so no ratio against it exists
+    out = tmp_path / "x.csv"
+    common = ["--n", "3", "--k", "1", "--samples", "2", "--seed", "1",
+              "--workers", "1", "--output", str(out)]
+    for t in ("1e-300", "1e120"):
+        for ts in (["--t", t], ["--t", t, "--t", "1"]):
+            assert run(["verify-siegel"] + ts + common) == 1
+    assert draws == []
+
+
+def test_covrad_budget_error_names_the_stream(tmp_path, monkeypatch, capsys):
+    real = stability.covrad_lower
+
+    def tight_on_stream_1(lattice, trials, rng_seed):
+        budget = 1 if rng_seed == 6 + 7919 * 1 else DEFAULT_BUDGET
+        return real(lattice, trials, rng_seed, budget)
+
+    monkeypatch.setattr(stability, "covrad_lower", tight_on_stream_1)
+    out = tmp_path / "c.csv"
+    assert run(["covrad", "--n", "3", "--sampler", "gm", "--lattices", "3",
+                "--trials", "5", "--seed", "6", "--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: enumeration exceeded its node budget of 1 "
+                        r"after \d+ nodes, on the lattice of stream 1\n", err)
 
 
 def test_covrad_refuses_large_n(tmp_path):

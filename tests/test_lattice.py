@@ -17,7 +17,7 @@ from latstab import reduction
 from latstab.enumeration import NodeCounter, close_vectors, short_vectors
 from latstab.intmat import bareiss_det
 from latstab.reduction import gs_frame
-from conftest import random_unimodular
+from conftest import random_integer_rows, random_unimodular
 from oracles import box_coords, integer_gram_det, numpy_babai_distance
 
 
@@ -354,6 +354,36 @@ def test_dual_involution_and_covolume():
         dd = ls.dual(d)
         scale_ref = max(1.0, float(np.max(np.abs(lat.basis))))
         assert np.max(np.abs(dd.basis - lat.basis)) <= 1e-9 * scale_ref
+
+
+def test_float_lattices_reduce_and_dualize_to_exact_forms():
+    for stream in range(10):
+        lat = ls.sample_exact_2d(seed=2, stream=stream)
+        assert lat.exact_basis is None
+        red = ls.lll_reduce(lat)
+        assert red.exact_basis is not None
+        assert red.covolume == lat.covolume
+        d = ls.dual(lat)
+        assert d.exact_basis is not None
+        assert abs(d.covolume * lat.covolume - 1.0) <= 1e-12
+
+
+def test_float_subgroup_covolume_ignores_the_generators():
+    # the covolume of a subgroup of a float lattice is a function of the
+    # subgroup: its HNF rows and any unimodular mix of them agree bitwise
+    rng = np.random.default_rng(7)
+    for stream in range(6):
+        lat = random_unimodular(5, seed=41, stream=stream,
+                                kind="gaussian_baseline")
+        for k in range(1, 5):
+            rows = random_integer_rows(rng, k, 5)
+            hnf = ls.canonical_form(rows)
+            low, up = (np.tril(rng.integers(-3, 4, size=(k, k)), -1)
+                       + np.eye(k, dtype=int) for _ in range(2))
+            mix = -low @ up.T  # determinant (-1)^k
+            mixed = [[int(x) for x in row] for row in mix @ np.array(hnf)]
+            assert ls.subgroup_covolume(lat, mixed) == \
+                ls.subgroup_covolume(lat, hnf)
 
 
 # -- text format -------------------------------------------------------------------

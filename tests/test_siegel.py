@@ -1,6 +1,7 @@
 """Transform counts, mergeable estimates, and the Monte Carlo drivers."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import latstab as ls
 from latstab import siegel
-from latstab.errors import InvariantViolationError
+from latstab.errors import BudgetExceededError, InvariantViolationError
 from latstab.siegel import McEstimate
 from conftest import random_unimodular
 
@@ -190,6 +191,32 @@ def test_stability_mass_worker_independent():
     parallel = ls.stability_mass(spec, 300, workers=2)
     assert serial.overall == parallel.overall
     assert serial.per_k == parallel.per_k
+
+
+def test_budget_errors_name_the_stream():
+    # D4 (scaled to covolume 1) and Z^4 need different node counts: a budget
+    # of 20 covers each search below on the lattice drawn at every stream
+    # but 2, and runs out on the other lattice, drawn at stream 2
+    z4 = ls.Lattice.identity(4)
+    d4 = ls.Lattice.from_exact([[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1],
+                                [0, 0, 1, 1]], 2 ** -0.25)
+
+    def odd_stream_2(usual, odd):
+        return lambda stream: odd if stream == 2 else usual
+
+    runs = [
+        lambda: ls.alpha_quantiles(odd_stream_2(z4, d4), 1, 4, budget=20),
+        lambda: ls.stability_mass(odd_stream_2(d4, z4), 4, budget=20),
+        lambda: ls.mc_integral(odd_stream_2(d4, z4), 2, 1.0, 4, budget=20),
+    ]
+    for run in runs:
+        with pytest.raises(BudgetExceededError) as err:
+            run()
+        assert re.fullmatch(
+            r"enumeration exceeded its node budget of 20 after \d+ nodes in "
+            r"a rank-\d subgroup search run at rank \d on the lattice, "
+            r"threshold [0-9.e+-]+, on the lattice of stream 2",
+            str(err.value))
 
 
 def test_normalization_ratio_n2():

@@ -53,6 +53,16 @@ def test_candidates_are_primitive_by_construction(monkeypatch):
     assert set(indices) == {1}
 
 
+def test_nothing_lies_below_the_minimum():
+    # the drivers evaluate every covolume on the exact form, so the minimum
+    # found by one search is never undercut by another search's candidate,
+    # on float lattices too
+    for lat in _lattices(4):
+        for k in range(1, lat.dim + 1):
+            m, _ = subgroups.minimal_subgroup(lat, k)
+            assert not subgroups.exists_below(lat, k, m), (lat.basis, k)
+
+
 def test_drivers_never_saturate(monkeypatch):
     calls = []
     real = intmat.saturation
@@ -115,13 +125,18 @@ def _a_n_plus_ones(n):
 
 
 def _routed_lattices(n):
-    # tie-heavy root lattices and gm lattices, each with an exact form; the
-    # direct rank-5 searches at n = 6 take seconds each, so one gm lattice
+    # tie-heavy root lattices, gm lattices and gauss lattices; the direct
+    # rank-5 searches at n = 6 take seconds each, so one gm lattice there
     yield Lattice.identity(n)
     yield _scaled(_d_n(n))
     yield _scaled(_a_n_plus_ones(n))
     for stream in range(4 if n < 6 else 1):
         yield random_unimodular(n, seed=47, stream=stream)
+    if n < 6:
+        # float lattices, searched through their dyadic integer form
+        for stream in range(4):
+            yield random_unimodular(n, seed=47, stream=stream,
+                                    kind="gaussian_baseline")
 
 
 def _driver_results(lat, k):
@@ -180,14 +195,6 @@ def test_low_ranks_build_no_dual_frame(monkeypatch):
         subgroups.minimal_subgroup(lat, k)
     assert "_dual_frame" not in vars(lat)
     assert {k for _, k in calls} <= {1, 2, 3}
-
-
-def test_float_lattices_are_searched_directly(monkeypatch):
-    calls = _spy_candidates(monkeypatch)
-    lat = random_unimodular(5, seed=53, stream=2, kind="gaussian_baseline")
-    subgroups.minimal_subgroup(lat, 4)
-    assert "_dual_frame" not in vars(lat)
-    assert calls[0][1] == 4
 
 
 def test_budget_error_names_the_search():
