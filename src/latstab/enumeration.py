@@ -9,7 +9,7 @@ errors, never silent truncation.
 
 from __future__ import annotations
 
-from math import ceil, floor, gcd, sqrt
+from math import ceil, floor, gcd, isfinite, sqrt
 
 from .errors import BudgetExceededError
 from .reduction import Frame, dot
@@ -51,6 +51,9 @@ def _fincke_pohst(frame: Frame, centre, r2: float, counter: NodeCounter,
     +-pair, the one whose highest-index nonzero coordinate is positive.
     Returns (coords, squared distance from the recurrence) pairs.
     """
+    if not isfinite(r2):
+        raise ValueError(f"search radius must be finite, got squared radius "
+                         f"{r2}")
     _, mu, c, _ = frame
     m = len(c)
     out: list[tuple[tuple[int, ...], float]] = []

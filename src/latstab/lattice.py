@@ -21,7 +21,7 @@ import numpy as np
 from . import intmat
 from .enumeration import DEFAULT_BUDGET, NodeCounter, close_vectors, short_vectors
 from .errors import DegenerateBasisError, LatticeParseError
-from .reduction import DEFAULT_DELTA, Frame, gs_frame, lll_rows, nearest_plane
+from .reduction import DEFAULT_DELTA, Frame, lll_rows, nearest_plane
 
 COVOLUME_RTOL = 1e-9
 EXACT_FORM_RTOL = 1e-12
@@ -136,14 +136,11 @@ class Lattice:
         return _freeze_rows(intmat.gram([list(r) for r in self._exact[0]]))
 
     @cached_property
-    def _reduced(self) -> tuple[list[list[float]], IntRows]:
-        rows, u = lll_rows(self._rows, DEFAULT_DELTA)
-        return rows, _freeze_rows(u)
-
-    @cached_property
-    def _frame(self) -> Frame:
-        """Gram-Schmidt frame of the reduced basis rows."""
-        return gs_frame(self._reduced[0])
+    def _reduced(self) -> tuple[Frame, IntRows]:
+        """Gram-Schmidt frame of the LLL-reduced basis rows R, and the
+        transform u with R = u @ basis."""
+        frame, u = lll_rows(self._rows, DEFAULT_DELTA)
+        return frame, _freeze_rows(u)
 
     @cached_property
     def _dual_frame(self) -> tuple[Frame, IntRows]:
@@ -156,7 +153,7 @@ class Lattice:
         read off R's own frame. The reversed dual of a reduced basis is
         nearly reduced, so this LLL is cheap.
         """
-        _, mu, c, bstar = self._frame
+        _, mu, c, bstar = self._reduced[0]
         n = len(c)
         inv_t: list[list[float]] = [[]] * n
         for j in range(n - 1, -1, -1):
@@ -165,8 +162,8 @@ class Lattice:
                 f = mu[i][j]
                 row = [a - f * b for a, b in zip(row, inv_t[i])]
             inv_t[j] = row
-        rows, v = lll_rows(inv_t[::-1], DEFAULT_DELTA)
-        return gs_frame(rows), _freeze_rows(row[::-1] for row in v)
+        frame, v = lll_rows(inv_t[::-1], DEFAULT_DELTA)
+        return frame, _freeze_rows(row[::-1] for row in v)
 
     @cached_property
     def _reduced_inverse(self) -> IntRows:
@@ -318,9 +315,9 @@ def enumerate_short_vectors(lattice: Lattice, radius: float,
     """
     if not radius > 0:
         raise ValueError("radius must be positive")
-    _, u = lattice._reduced
+    frame, u = lattice._reduced
     counter = NodeCounter(budget)
-    found = short_vectors(lattice._frame, radius, counter=counter, half=True)
+    found = short_vectors(frame, radius, counter=counter, half=True)
     limit = radius * (1 + 1e-12)
     out = []
     for x, _ in found:
@@ -361,8 +358,7 @@ def closest_vector(lattice: Lattice, target,
     n = lattice.dim
     if len(t) != n:
         raise ValueError("target dimension mismatch")
-    _, u = lattice._reduced
-    frame = lattice._frame
+    frame, u = lattice._reduced
     rows = frame.rows
     # recenter at the Babai point so the search works on a small residual;
     # far targets would otherwise lose the radius to cancellation
@@ -373,29 +369,19 @@ def closest_vector(lattice: Lattice, target,
     counter = NodeCounter(budget)
     cands = close_vectors(frame, t0, seed_dist * (1 + 1e-12) + 1e-15,
                           counter=counter)
-    best_d2 = None
-    best = []
-    for x, _ in cands:
-        resid = [
-            sum(x[i] * rows[i][c] for i in range(n) if x[i]) - t0[c]
-            for c in range(n)
-        ]
-        d2 = sum(v * v for v in resid)
-        if best_d2 is None or d2 < best_d2 * (1 - 1e-12):
-            best_d2 = d2
-            best = [(x, resid, d2)]
-        elif d2 <= best_d2 * (1 + 1e-12):
-            best.append((x, resid, d2))
-            best_d2 = min(best_d2, d2)
-    if not best:
+    if not cands:
         raise AssertionError("CVP search returned no candidate")
-    # map to lattice coordinates only the tied minimizers
+    # the descent's recurrence gives each candidate's squared distance; map
+    # to lattice coordinates only the tied minimizers
+    band = min(d2 for _, d2 in cands) * (1 + 1e-12)
     tied = [
         (tuple(sum((x[i] + seed[i]) * u[i][j] for i in range(n))
-               for j in range(n)), resid, d2)
-        for x, resid, d2 in best
+               for j in range(n)), x, d2)
+        for x, d2 in cands if d2 <= band
     ]
-    coords, resid, d2 = min(tied, key=lambda item: _cvp_tie_key(item[0]))
+    coords, x, d2 = min(tied, key=lambda item: _cvp_tie_key(item[0]))
+    resid = [sum(x[i] * rows[i][c] for i in range(n) if x[i]) - t0[c]
+             for c in range(n)]
     vec = np.array([tv + rv for tv, rv in zip(t, resid)])
     return ClosestVector(vector=vec, distance=math.sqrt(d2), coords=coords)
 

@@ -42,8 +42,9 @@ def gso(rows) -> tuple[list[list[float]], list[float], list[list[float]]]:
 class Frame(NamedTuple):
     """Gram-Schmidt frame of independent basis rows.
 
-    b_i = b*_i + sum_{j<i} mu[i][j] b*_j with c[i] = |b*_i|^2 > 0; built
-    once per basis by gs_frame and shared by Babai and the enumerators.
+    b_i = b*_i + sum_{j<i} mu[i][j] b*_j with c[i] = |b*_i|^2 > 0; kept
+    current by lll_rows, which hands it down with the reduced rows, and
+    shared by Babai and the enumerators.
     """
 
     rows: list[list[float]]
@@ -52,20 +53,11 @@ class Frame(NamedTuple):
     bstar: list[list[float]]
 
 
-def gs_frame(rows) -> Frame:
-    """Gram-Schmidt frame of the rows; raises DegenerateBasisError if a
-    Gram-Schmidt length vanishes."""
-    mu, c, bstar = gso(rows)
-    if min(c, default=0.0) <= 0.0:
-        raise DegenerateBasisError("dependent rows have no Gram-Schmidt frame")
-    return Frame(rows, mu, c, bstar)
-
-
-def lll_rows(rows, delta: float = DEFAULT_DELTA, max_swaps: int | None = None):
+def lll_rows(rows, delta: float = DEFAULT_DELTA) -> tuple[Frame, IntMatrix]:
     """LLL-reduce the given basis rows.
 
-    Returns (reduced_rows, transform) where transform is the integer
-    unimodular matrix U with reduced == U @ rows. Raises
+    Returns (frame, transform): the Gram-Schmidt frame of the reduced rows
+    and the integer unimodular matrix U with frame.rows == U @ rows. Raises
     DegenerateBasisError if the rows are numerically dependent or the
     reduction fails to converge.
     """
@@ -74,12 +66,9 @@ def lll_rows(rows, delta: float = DEFAULT_DELTA, max_swaps: int | None = None):
     b = [list(map(float, r)) for r in rows]
     m = len(b)
     u: IntMatrix = identity(m)
-    if m <= 1:
-        return b, u
-    if max_swaps is None:
-        max_swaps = 4096 + 256 * m * m
-    mu, c, _ = gso(b)
-    if min(c) <= 0.0:
+    max_swaps = 4096 + 256 * m * m
+    mu, c, bstar = gso(b)
+    if min(c, default=0.0) <= 0.0:
         raise DegenerateBasisError("dependent rows passed to LLL")
     k = 1
     swaps = 0
@@ -109,11 +98,11 @@ def lll_rows(rows, delta: float = DEFAULT_DELTA, max_swaps: int | None = None):
             swaps += 1
             if swaps > max_swaps:
                 raise DegenerateBasisError("LLL failed to converge")
-            mu, c, _ = gso(b)
+            mu, c, bstar = gso(b)
             if min(c) <= 0.0:
                 raise DegenerateBasisError("dependent rows passed to LLL")
             k = max(k - 1, 1)
-    return b, u
+    return Frame(b, mu, c, bstar), u
 
 
 def nearest_plane(frame: Frame, target) -> list[int]:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvariantViolationError
+from .errors import DegenerateBasisError, InvariantViolationError
 from .lattice import Lattice
 from .rng import stream_generator
 
@@ -194,7 +194,7 @@ def sample_gaussian_baseline(n: int, seed: int, stream: int) -> Lattice:
         try:
             return Lattice.from_rows(basis,
                                      provenance="gaussian_baseline[biased]")
-        except Exception:
+        except DegenerateBasisError:
             continue
     raise InvariantViolationError("gaussian baseline kept drawing singular matrices")
 

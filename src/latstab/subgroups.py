@@ -44,26 +44,10 @@ from .lattice import (
     exact_gram_determinant,
     subgroup_covolume,
 )
-from .reduction import dot, gs_frame, lll_rows
+from .reduction import dot, lll_rows
 
 SLACK = 1 + 1e-9
 TIE_RTOL = 1e-12
-
-
-class _Level:
-    """Residual lattice of one recursion level.
-
-    frame is the Gram-Schmidt frame of the level's LLL-reduced float rows,
-    which live in the ambient R^n (projected when the level is below the
-    top); lift maps residual integer coordinates back to integer coordinates
-    in the ambient lattice basis.
-    """
-
-    __slots__ = ("frame", "lift")
-
-    def __init__(self, frame, lift):
-        self.frame = frame
-        self.lift = lift
 
 
 class _Search(NodeCounter):
@@ -84,16 +68,16 @@ class _Search(NodeCounter):
                 f"{self.rank} on {where}, threshold {self.threshold:.12g}")
 
 
-def _top_level(lattice: Lattice) -> _Level:
-    return _Level(lattice._frame, lattice._reduced[1])
-
-
 def _direct(rows):
     return rows
 
 
 def _route(lattice: Lattice, k: int):
     """(level, rank, scale, to_lattice) of the search for rank-k subgroups.
+
+    A level is a (frame, lift) pair: the Gram-Schmidt frame of LLL-reduced
+    float rows in R^n (projected below the top level), and the integer lift
+    of its coordinates to coordinates in the searched lattice's basis.
 
     Ranks above n/2 are searched at rank n - k in the dual L*:
     D -> D' = D^perp cap L* is a bijection of primitive subgroups with
@@ -104,8 +88,7 @@ def _route(lattice: Lattice, k: int):
     """
     n = lattice.dim
     if 2 * k <= n or k == n:
-        return _top_level(lattice), k, 1.0, _direct
-    frame, lift = lattice._dual_frame
+        return lattice._reduced, k, 1.0, _direct
     u = lattice._reduced[1]
 
     def to_lattice(rows):
@@ -114,16 +97,16 @@ def _route(lattice: Lattice, k: int):
         # x . y = 0
         return intmat.matmul(intmat.kernel_rows(rows), u)
 
-    return _Level(frame, lift), n - k, lattice.covolume, to_lattice
+    return lattice._dual_frame, n - k, lattice.covolume, to_lattice
 
 
-def _project(level: _Level, x):
-    """Split the level along the primitive residual vector x.
+def _project(rows, lift, x):
+    """Split the level with these float rows and lift along the primitive
+    residual vector x.
 
     Returns (ambient coords of the branch vector, its residual norm, and the
     reduced level formed by the remaining rows projected orthogonally to it).
     """
-    rows = level.frame.rows
     w = intmat.complete_primitive_row(x)
     m = len(rows)
     width = len(rows[0])
@@ -131,7 +114,7 @@ def _project(level: _Level, x):
         [sum(w[i][j] * rows[j][c] for j in range(m)) for c in range(width)]
         for i in range(m)
     ]
-    lift2 = intmat.matmul(w, level.lift)
+    lift2 = intmat.matmul(w, lift)
     v = new_rows[0]
     vn2 = dot(v, v)
     vnorm = sqrt(vn2)
@@ -139,12 +122,11 @@ def _project(level: _Level, x):
     for r in new_rows[1:]:
         f = dot(r, v) / vn2
         proj.append([rc - f * vc for rc, vc in zip(r, v)])
-    reduced, u = lll_rows(proj)
-    sub = _Level(gs_frame(reduced), intmat.matmul(u, lift2[1:]))
-    return lift2[0], vnorm, sub
+    frame, u = lll_rows(proj)
+    return lift2[0], vnorm, (frame, intmat.matmul(u, lift2[1:]))
 
 
-def _candidates(level: _Level, k: int, scale: float, search: _Search):
+def _candidates(level, k: int, scale: float, search: _Search):
     """Yield generator row lists (ambient integer coords) of candidate
     subgroups with covolume below roughly search.threshold.
 
@@ -152,21 +134,22 @@ def _candidates(level: _Level, k: int, scale: float, search: _Search):
     which gives the drivers a cheap valid witness and, in minimization mode,
     an immediate upper bound before any radius is computed.
     """
-    yield list(level.lift[:k])
-    if k == len(level.lift):
+    frame, lift = level
+    yield list(lift[:k])
+    if k == len(lift):
         # the only primitive rank-m subgroup of a rank-m lattice is itself
         return
     bound = sqrt(hermite_upper(k))
     radius = bound * (search.threshold / scale) ** (1.0 / k) * SLACK
     if radius <= 0:
         return
-    for x, n2 in primitive_half_vectors(level.frame, radius, counter=search):
+    for x, n2 in primitive_half_vectors(frame, radius, counter=search):
         if sqrt(n2) > bound * (search.threshold / scale) ** (1.0 / k) * SLACK:
             break  # sorted ascending; threshold may have shrunk
         if k == 1:
-            yield intmat.matmul([x], level.lift)
+            yield intmat.matmul([x], lift)
             continue
-        vcoords, vnorm, sub = _project(level, x)
+        vcoords, vnorm, sub = _project(frame.rows, lift, x)
         for rest in _candidates(sub, k - 1, scale * vnorm, search):
             yield [vcoords] + rest
 

@@ -16,7 +16,7 @@ from latstab.errors import (
 from latstab import reduction
 from latstab.enumeration import NodeCounter, close_vectors, short_vectors
 from latstab.intmat import bareiss_det
-from latstab.reduction import gs_frame
+from latstab.reduction import Frame, gso, lll_rows
 from conftest import random_integer_rows, random_unimodular
 from oracles import box_coords, integer_gram_det, numpy_babai_distance
 
@@ -118,6 +118,11 @@ def test_enumerate_below_first_minimum(z2):
 def test_enumerate_requires_positive_radius(z2):
     with pytest.raises(ValueError):
         ls.enumerate_short_vectors(z2, 0.0)
+    # a radius whose square is not a finite float is refused by the search
+    # itself, not left to overflow in its coordinate bounds
+    for radius in (math.inf, 1e200):
+        with pytest.raises(ValueError, match="search radius must be finite"):
+            ls.enumerate_short_vectors(ls.Lattice.identity(3), radius)
 
 
 def test_enumerate_budget():
@@ -180,7 +185,9 @@ def _pin_digest(result):
 
 
 def _pin_frame(n, stream):
-    return gs_frame(random_unimodular(n, seed=2024, stream=stream)._reduced[0])
+    # a fresh Gram-Schmidt pass over the reduced rows, as the pins were taken
+    rows = random_unimodular(n, seed=2024, stream=stream)._reduced[0].rows
+    return Frame(rows, *gso(rows))
 
 
 @pytest.mark.parametrize("n, stream, half, count, nodes, digest", SVP_PINS)
@@ -203,7 +210,24 @@ def test_close_vectors_pinned(n, stream, count, nodes, digest):
 
 def test_frame_rejects_dependent_rows():
     with pytest.raises(DegenerateBasisError):
-        gs_frame([[1.0, 2.0], [2.0, 4.0]])
+        lll_rows([[1.0, 2.0], [2.0, 4.0]])
+
+
+@pytest.mark.parametrize("kind", ["goldstein_mayer", "gaussian_baseline"])
+def test_lll_hands_down_a_current_frame(kind):
+    # the frame LLL keeps up to date through its size reductions agrees
+    # with a fresh Gram-Schmidt pass over the rows it returns
+    for n in range(2, 9):
+        for stream in range(6):
+            lat = random_unimodular(n, seed=61, stream=stream, kind=kind)
+            frame, _ = lll_rows(lat._rows)
+            mu, c, bstar = gso(frame.rows)
+            assert np.abs(np.array(frame.mu) - mu).max() <= 1e-12
+            assert np.all(np.abs(np.array(frame.c) - c)
+                          <= 1e-12 * np.array(c))
+            scale = np.sqrt(c)[:, None]
+            assert np.all(np.abs(np.array(frame.bstar) - bstar)
+                          <= 1e-12 * scale)
 
 
 # -- CVP -----------------------------------------------------------------------
@@ -280,7 +304,8 @@ def test_cvp_builds_one_frame(monkeypatch):
     for _ in range(25):
         ls.closest_vector(lat, rng.random(4) @ lat.basis)
     ls.enumerate_short_vectors(lat, 1.2)
-    assert calls == [4]
+    # the frame came out of the LLL behind _reduced
+    assert calls == []
 
 
 # -- saturation and sublattices -------------------------------------------------

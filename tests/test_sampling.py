@@ -138,6 +138,32 @@ def test_gaussian_baseline():
     assert np.array_equal(a.basis, b.basis)
 
 
+def test_gaussian_baseline_retries_only_degenerate_draws(monkeypatch):
+    # an ill-conditioned draw is skipped; any other failure surfaces at once
+    real = ls.Lattice.from_rows
+    calls = []
+
+    def degenerate_once(rows, provenance=None):
+        calls.append(rows)
+        if len(calls) == 1:
+            raise ls.DegenerateBasisError("ill-conditioned")
+        return real(rows, provenance=provenance)
+
+    monkeypatch.setattr(ls.Lattice, "from_rows", degenerate_once)
+    lat = ls.sample_gaussian_baseline(3, seed=5, stream=0)
+    assert len(calls) == 2 and lat.dim == 3
+
+    def broken(rows, provenance=None):
+        calls.append(rows)
+        raise RuntimeError("broken constructor")
+
+    calls.clear()
+    monkeypatch.setattr(ls.Lattice, "from_rows", broken)
+    with pytest.raises(RuntimeError, match="broken constructor"):
+        ls.sample_gaussian_baseline(3, seed=5, stream=0)
+    assert len(calls) == 1
+
+
 def test_gaussian_baseline_bias_reported():
     # the biased baseline need not match the invariant measure; report the
     # measured n=2 stable fraction without asserting a target

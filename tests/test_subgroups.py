@@ -2,10 +2,11 @@
 ranks above n/2 searched in the dual with the same results."""
 
 import re
+import sys
 
 import pytest
 
-from latstab import Lattice, intmat, lattice, subgroups
+from latstab import Lattice, intmat, lattice, reduction, subgroups
 from latstab.enumeration import DEFAULT_BUDGET
 from latstab.errors import BudgetExceededError
 from latstab.lattice import saturation_index
@@ -25,7 +26,7 @@ def _direct_candidates(lat, k, bound):
     """Candidates of the rank-k search run on the lattice itself, which the
     drivers replace by a search in the dual when k > n/2."""
     search = subgroups._Search(bound, DEFAULT_BUDGET, k, k)
-    return subgroups._candidates(subgroups._top_level(lat), k, 1.0, search)
+    return subgroups._candidates(lat._reduced, k, 1.0, search)
 
 
 def test_candidates_are_primitive_by_construction(monkeypatch):
@@ -102,6 +103,27 @@ def test_search_reuses_the_cached_reduction(monkeypatch):
     assert calls == []
 
 
+def test_every_frame_comes_out_of_lll(monkeypatch):
+    # each level's frame, at the top, in the dual and below every
+    # projection, is the one LLL kept while reducing the level
+    callers = []
+    real = reduction.gso
+
+    def spy(rows):
+        callers.append(sys._getframe(1).f_code)
+        return real(rows)
+
+    monkeypatch.setattr(reduction, "gso", spy)
+    for lat in _lattices(2):
+        for k in range(1, lat.dim + 1):
+            subgroups.minimal_subgroup(lat, k)
+            subgroups.subgroups_within(lat, k, 1.3)
+            subgroups.exists_below(lat, k, 1.0)
+    assert "_dual_frame" in vars(lat)
+    assert len(callers) > 100
+    assert set(callers) == {reduction.lll_rows.__code__}
+
+
 # -- ranks above n/2: the search runs in the dual ------------------------------
 
 
@@ -149,7 +171,7 @@ def _driver_results(lat, k):
 
 
 def _direct_route(lat, k):
-    return subgroups._top_level(lat), k, 1.0, subgroups._direct
+    return lat._reduced, k, 1.0, subgroups._direct
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -183,7 +205,7 @@ def test_rank_n_minus_1_runs_at_rank_1_in_the_dual(monkeypatch):
     subgroups.exists_below(lat, 5, 1.0 - 1e-12)
     ((level, k),) = calls
     assert k == 1
-    assert level.frame is lat._dual_frame[0]
+    assert level is lat._dual_frame
 
 
 def test_low_ranks_build_no_dual_frame(monkeypatch):
@@ -211,3 +233,6 @@ def test_budget_error_names_the_search():
         r"enumeration exceeded its node budget of 2 after \d+ nodes in a "
         r"rank-2 subgroup search run at rank 2 on the lattice, "
         r"threshold [0-9.]+", str(direct.value))
+    # a bound whose search radius squares past the floats is refused
+    with pytest.raises(ValueError, match="search radius must be finite"):
+        subgroups.subgroups_within(Lattice.identity(3), 1, 1e300)
