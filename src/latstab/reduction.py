@@ -4,6 +4,11 @@ The engine works on plain lists of floats; at the dimensions this package
 targets (n <= 8 or so) that is faster than numpy row operations. The integer
 change-of-basis matrix is accumulated alongside the float rows so callers
 can replay the reduction on exact integer data.
+
+LLL computes one Gram-Schmidt row per stage (Schnorr and Euchner, Math.
+Programming 66, 1994), not the whole frame after each swap. Cohen's swap
+update (Alg. 2.6.3) is not used: in doubles its mu drifts on the raw
+Goldstein-Mayer basis, and LLL then stops on bases that are not reduced.
 """
 
 from __future__ import annotations
@@ -14,36 +19,43 @@ from .errors import DegenerateBasisError
 from .intmat import IntMatrix, identity
 
 DEFAULT_DELTA = 0.99
+_ROW_PASSES = 32  # Gram-Schmidt passes over one row in one LLL stage
 
 
 def dot(u, v) -> float:
     return sum(x * y for x, y in zip(u, v))
 
 
+def _gso_row(rows, i, mu, c, bstar) -> None:
+    """Fill row i of the Gram-Schmidt data from rows[i] and rows 0..i-1."""
+    bi = list(map(float, rows[i]))
+    for j in range(i):
+        cj = c[j]
+        mij = dot(rows[i], bstar[j]) / cj if cj > 0.0 else 0.0
+        mu[i][j] = mij
+        bj = bstar[j]
+        for t in range(len(bi)):
+            bi[t] -= mij * bj[t]
+    bstar[i] = bi
+    c[i] = dot(bi, bi)
+
+
 def gso(rows) -> tuple[list[list[float]], list[float], list[list[float]]]:
     """Gram-Schmidt data (mu, c, bstar) with c[i] = |b*_i|^2."""
     m = len(rows)
-    bstar = [list(map(float, r)) for r in rows]
     mu = [[0.0] * m for _ in range(m)]
     c = [0.0] * m
+    bstar: list[list[float]] = [[] for _ in range(m)]
     for i in range(m):
-        bi = bstar[i]
-        for j in range(i):
-            cj = c[j]
-            mij = dot(rows[i], bstar[j]) / cj if cj > 0.0 else 0.0
-            mu[i][j] = mij
-            bj = bstar[j]
-            for t in range(len(bi)):
-                bi[t] -= mij * bj[t]
-        c[i] = dot(bi, bi)
+        _gso_row(rows, i, mu, c, bstar)
     return mu, c, bstar
 
 
 class Frame(NamedTuple):
     """Gram-Schmidt frame of independent basis rows.
 
-    b_i = b*_i + sum_{j<i} mu[i][j] b*_j with c[i] = |b*_i|^2 > 0; kept
-    current by lll_rows, which hands it down with the reduced rows, and
+    b_i = b*_i + sum_{j<i} mu[i][j] b*_j with c[i] = |b*_i|^2 > 0; built
+    row by row by lll_rows, which hands it down with the reduced rows, and
     shared by Babai and the enumerators.
     """
 
@@ -65,32 +77,42 @@ def lll_rows(rows, delta: float = DEFAULT_DELTA) -> tuple[Frame, IntMatrix]:
         raise ValueError(f"LLL delta must lie in (1/4, 1), got {delta}")
     b = [list(map(float, r)) for r in rows]
     m = len(b)
+    if not m:
+        raise DegenerateBasisError("no rows passed to LLL")
     u: IntMatrix = identity(m)
+    mu = [[0.0] * m for _ in range(m)]
+    c = [0.0] * m
+    bstar: list[list[float]] = [[] for _ in range(m)]
     max_swaps = 4096 + 256 * m * m
-    mu, c, bstar = gso(b)
-    if min(c, default=0.0) <= 0.0:
-        raise DegenerateBasisError("dependent rows passed to LLL")
-    k = 1
+    # stage k: rows 0..k-1 of the frame are current; row k is computed from
+    # b_k, and again from the size-reduced b_k while a |q| > 1 step may have
+    # left float error in mu[k] (Schnorr-Euchner)
+    k = 0
     swaps = 0
     while k < m:
-        # size-reduce b_k; the mu updates below keep the GSO data exact
-        for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
-            if q:
-                bj = b[j]
-                bk = b[k]
-                for t in range(len(bk)):
-                    bk[t] -= q * bj[t]
-                uj = u[j]
-                uk = u[k]
-                for t in range(m):
-                    uk[t] -= q * uj[t]
-                muk = mu[k]
-                muj = mu[j]
-                for t in range(j):
-                    muk[t] -= q * muj[t]
-                muk[j] -= q
-        if c[k] >= (delta - mu[k][k - 1] ** 2) * c[k - 1]:
+        for _ in range(_ROW_PASSES):
+            _gso_row(b, k, mu, c, bstar)
+            if c[k] <= 0.0:
+                raise DegenerateBasisError("dependent rows passed to LLL")
+            bk, uk, muk = b[k], u[k], mu[k]
+            large = False
+            for j in range(k - 1, -1, -1):
+                q = round(muk[j])
+                if q:
+                    large = large or abs(q) > 1
+                    bj, uj, muj = b[j], u[j], mu[j]
+                    for t in range(len(bk)):
+                        bk[t] -= q * bj[t]
+                    for t in range(m):
+                        uk[t] -= q * uj[t]
+                    for t in range(j):
+                        muk[t] -= q * muj[t]
+                    muk[j] -= q
+            if not large:
+                break
+        else:
+            raise DegenerateBasisError("LLL size reduction failed to converge")
+        if k == 0 or c[k] >= (delta - mu[k][k - 1] ** 2) * c[k - 1]:
             k += 1
         else:
             b[k - 1], b[k] = b[k], b[k - 1]
@@ -98,10 +120,7 @@ def lll_rows(rows, delta: float = DEFAULT_DELTA) -> tuple[Frame, IntMatrix]:
             swaps += 1
             if swaps > max_swaps:
                 raise DegenerateBasisError("LLL failed to converge")
-            mu, c, bstar = gso(b)
-            if min(c) <= 0.0:
-                raise DegenerateBasisError("dependent rows passed to LLL")
-            k = max(k - 1, 1)
+            k -= 1
     return Frame(b, mu, c, bstar), u
 
 

@@ -211,6 +211,27 @@ def test_close_vectors_pinned(n, stream, count, nodes, digest):
 def test_frame_rejects_dependent_rows():
     with pytest.raises(DegenerateBasisError):
         lll_rows([[1.0, 2.0], [2.0, 4.0]])
+    # LLL computes one Gram-Schmidt row per stage, so a zero or dependent
+    # row must be caught wherever it sits
+    base = [[3, 1, 4, 1], [5, 9, 2, 6], [5, 3, 5, 8], [9, 7, 9, 3]]
+    for pos in range(4):
+        a, b, c = (base[i] for i in range(4) if i != pos)
+        dependent = [2 * x - 3 * y + z for x, y, z in zip(a, b, c)]
+        for row in ([0, 0, 0, 0], dependent):
+            rows = [list(r) for r in base]
+            rows[pos] = row
+            with pytest.raises(DegenerateBasisError):
+                lll_rows(rows)
+
+
+def test_lll_row_passes_are_bounded(monkeypatch):
+    # a raw gm basis needs a second Gram-Schmidt pass over row 1 after its
+    # first size reduction; with one pass allowed LLL gives up
+    rows = random_unimodular(4, seed=71, stream=0)._rows
+    lll_rows(rows)
+    monkeypatch.setattr(reduction, "_ROW_PASSES", 1)
+    with pytest.raises(DegenerateBasisError, match="failed to converge"):
+        lll_rows(rows)
 
 
 @pytest.mark.parametrize("kind", ["goldstein_mayer", "gaussian_baseline"])
@@ -228,6 +249,31 @@ def test_lll_hands_down_a_current_frame(kind):
             scale = np.sqrt(c)[:, None]
             assert np.all(np.abs(np.array(frame.bstar) - bstar)
                           <= 1e-12 * scale)
+
+
+def _lll_inputs():
+    # gm at three primes near 2^31 and gauss, n = 2..8; gm n = 5, seed
+    # 100000, stream 0 is a basis on which a float swap update of mu drifts
+    # far enough that LLL stops early
+    for p in (2**31 - 1, 2147483629, 2147483659):
+        for n in range(2, 9):
+            for stream in range(6):
+                yield ls.SamplerSpec("goldstein_mayer", n, 71, p, stream)
+    for n in range(2, 9):
+        for stream in range(6):
+            yield ls.SamplerSpec("gaussian_baseline", n, 71, None, stream)
+    yield ls.SamplerSpec("goldstein_mayer", 5, 100000, 2**31 - 1, 0)
+
+
+def test_lll_output_is_reduced():
+    # checked on a fresh Gram-Schmidt pass, not on the frame LLL kept
+    for spec in _lll_inputs():
+        frame, _ = lll_rows(ls.sample_lattice(spec)._rows)
+        mu, c, _ = gso(frame.rows)
+        for i in range(1, len(c)):
+            assert max(abs(x) for x in mu[i][:i]) <= 0.5 + 1e-9, spec
+            lovasz = (reduction.DEFAULT_DELTA - mu[i][i - 1] ** 2) * c[i - 1]
+            assert c[i] >= lovasz * (1 - 1e-9), spec
 
 
 # -- CVP -----------------------------------------------------------------------
@@ -291,15 +337,15 @@ def test_cvp_exact_against_box_scan():
 
 def test_cvp_builds_one_frame(monkeypatch):
     lat = random_unimodular(4, seed=8, stream=0)
-    lat._reduced  # LLL runs its own Gram-Schmidt passes
+    lat._reduced  # LLL computes its frame row by row
     calls = []
-    gso = reduction.gso
+    row = reduction._gso_row
 
-    def counted(rows):
-        calls.append(len(rows))
-        return gso(rows)
+    def counted(rows, i, *frame):
+        calls.append(i)
+        return row(rows, i, *frame)
 
-    monkeypatch.setattr(reduction, "gso", counted)
+    monkeypatch.setattr(reduction, "_gso_row", counted)
     rng = np.random.default_rng(2)
     for _ in range(25):
         ls.closest_vector(lat, rng.random(4) @ lat.basis)

@@ -1,6 +1,7 @@
 """The subgroup search: primitive candidates, no redundant exact work, and
 ranks above n/2 searched in the dual with the same results."""
 
+import hashlib
 import re
 import sys
 
@@ -107,13 +108,13 @@ def test_every_frame_comes_out_of_lll(monkeypatch):
     # each level's frame, at the top, in the dual and below every
     # projection, is the one LLL kept while reducing the level
     callers = []
-    real = reduction.gso
+    real = reduction._gso_row
 
-    def spy(rows):
+    def spy(*args):
         callers.append(sys._getframe(1).f_code)
-        return real(rows)
+        return real(*args)
 
-    monkeypatch.setattr(reduction, "gso", spy)
+    monkeypatch.setattr(reduction, "_gso_row", spy)
     for lat in _lattices(2):
         for k in range(1, lat.dim + 1):
             subgroups.minimal_subgroup(lat, k)
@@ -122,6 +123,43 @@ def test_every_frame_comes_out_of_lll(monkeypatch):
     assert "_dual_frame" in vars(lat)
     assert len(callers) > 100
     assert set(callers) == {reduction.lll_rows.__code__}
+
+
+# the three drivers' results over fixed lattices, hashed: floats as float.hex,
+# so a change to the search or to LLL may not move a single bit
+DRIVER_DIGESTS = {
+    "minimal_subgroup":
+        "ac9f0fba4f48f9102244743ef35b9349b71a7cb17e5070c3af3781b999d13d15",
+    "subgroups_within":
+        "b71fea8526384bfca934fc5679f5895ae0bebcd56738dd438c5d0297dedbd20d",
+    "exists_below":
+        "93930a73cdf083f05cd4867603dd1dc09a00324ed90eb0e14c2af6d0e6df6c60",
+}
+
+
+def _digest_lattices():
+    for kind, dims, streams in (("goldstein_mayer", range(2, 7), 6),
+                                ("gaussian_baseline", range(2, 7), 6),
+                                ("exact_2d", (2,), 12)):
+        for n in dims:
+            for stream in range(streams):
+                yield random_unimodular(n, seed=101, stream=stream, kind=kind)
+
+
+def test_driver_results_are_pinned():
+    lines = {name: [] for name in DRIVER_DIGESTS}
+    for lat in _digest_lattices():
+        for k in range(1, lat.dim + 1):
+            m, coords = subgroups.minimal_subgroup(lat, k)
+            lines["minimal_subgroup"].append(f"{m.hex()} {coords}")
+            within = subgroups.subgroups_within(lat, k, 1.2 ** k)
+            lines["subgroups_within"].append(
+                repr([(v.hex(), c) for v, c in within]))
+            lines["exists_below"].append(
+                str(subgroups.exists_below(lat, k, 0.95 ** k)))
+    digests = {name: hashlib.sha256("\n".join(v).encode()).hexdigest()
+               for name, v in lines.items()}
+    assert digests == DRIVER_DIGESTS
 
 
 # -- ranks above n/2: the search runs in the dual ------------------------------
