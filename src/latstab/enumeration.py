@@ -108,12 +108,17 @@ def short_vectors(frame: Frame, radius: float,
                          counter or NodeCounter(), True, half)
 
 
+def _close_r2(radius: float) -> float:
+    """Squared search radius of close_vectors, a cap on the d2 it returns."""
+    return radius * radius * TREE_SLACK + 1e-18
+
+
 def close_vectors(frame: Frame, target, radius: float,
                   counter: NodeCounter | None = None):
     """All x with |x @ rows - target| <= radius (up to tree slack)."""
     # express target in the Gram-Schmidt frame
     tau = [dot(target, b) / ci for b, ci in zip(frame.bstar, frame.c)]
-    return _fincke_pohst(frame, tau, radius * radius * TREE_SLACK + 1e-18,
+    return _fincke_pohst(frame, tau, _close_r2(radius),
                          counter or NodeCounter(), False, False)
 
 

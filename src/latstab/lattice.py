@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 import numpy as np
 
@@ -345,6 +346,21 @@ def _cvp_tie_key(coords):
     return (0 if first >= 0 else 1, coords)
 
 
+def _babai_recentre(lattice: Lattice, target):
+    """The target as floats, its Babai coordinates, the residual t0 from the
+    Babai point and the radius closest_vector searches around it (a small
+    residual keeps far targets from losing the radius to cancellation)."""
+    t = np.asarray(target, dtype=float).ravel().tolist()
+    if len(t) != lattice.dim:
+        raise ValueError("target dimension mismatch")
+    frame, _ = lattice._reduced
+    seed = nearest_plane(frame, t)
+    shift = [sum(map(mul, seed, col)) for col in zip(*frame.rows)]
+    t0 = [tv - sv for tv, sv in zip(t, shift)]
+    seed_dist = math.sqrt(sum(map(mul, t0, t0)))
+    return t, seed, t0, seed_dist * (1 + 1e-12) + 1e-15
+
+
 def closest_vector(lattice: Lattice, target,
                    budget: int = DEFAULT_BUDGET) -> ClosestVector:
     """Exact closest lattice point to the target.
@@ -354,21 +370,11 @@ def closest_vector(lattice: Lattice, target,
     solutions the coordinate vector that is lexicographically smallest with
     first nonzero entry positive wins.
     """
-    t = [float(v) for v in np.asarray(target, dtype=float).ravel()]
+    t, seed, t0, radius = _babai_recentre(lattice, target)
     n = lattice.dim
-    if len(t) != n:
-        raise ValueError("target dimension mismatch")
     frame, u = lattice._reduced
     rows = frame.rows
-    # recenter at the Babai point so the search works on a small residual;
-    # far targets would otherwise lose the radius to cancellation
-    seed = nearest_plane(frame, t)
-    shift = [sum(seed[i] * rows[i][c] for i in range(n)) for c in range(n)]
-    t0 = [tv - sv for tv, sv in zip(t, shift)]
-    seed_dist = math.sqrt(sum(v * v for v in t0))
-    counter = NodeCounter(budget)
-    cands = close_vectors(frame, t0, seed_dist * (1 + 1e-12) + 1e-15,
-                          counter=counter)
+    cands = close_vectors(frame, t0, radius, counter=NodeCounter(budget))
     if not cands:
         raise AssertionError("CVP search returned no candidate")
     # the descent's recurrence gives each candidate's squared distance; map

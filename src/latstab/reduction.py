@@ -13,6 +13,7 @@ Goldstein-Mayer basis, and LLL then stops on bases that are not reduced.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import NamedTuple
 
 from .errors import DegenerateBasisError
@@ -23,7 +24,7 @@ _ROW_PASSES = 32  # Gram-Schmidt passes over one row in one LLL stage
 
 
 def dot(u, v) -> float:
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _gso_row(rows, i, mu, c, bstar) -> None:

@@ -8,9 +8,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import subgroups
-from .enumeration import DEFAULT_BUDGET
+from .enumeration import DEFAULT_BUDGET, _close_r2
 from .errors import InvariantViolationError
-from .lattice import Lattice, Sublattice, closest_vector
+from .lattice import Lattice, Sublattice, _babai_recentre, closest_vector
 from .rng import stream_generator
 
 # band inside which a minimal covolume of 1 still counts as stable
@@ -186,6 +186,11 @@ def covrad_lower(lattice: Lattice, trials: int, rng_seed: int,
     Draws uniform points in the fundamental parallelepiped and takes the
     largest exact closest-vector distance. One-sided by construction:
     the true covering radius can only be larger.
+
+    A trial is searched only if it can raise the maximum: the search
+    returns sqrt(d2) with d2 <= r2, its squared radius around the Babai
+    point, so a trial with sqrt(r2) <= maximum cannot win and is skipped.
+    The node budget is spent per searched trial.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -195,6 +200,8 @@ def covrad_lower(lattice: Lattice, trials: int, rng_seed: int,
     basis = lattice.basis
     for _ in range(trials):
         point = gen.random(lattice.dim) @ basis
+        if math.sqrt(_close_r2(_babai_recentre(lattice, point)[3])) <= best:
+            continue
         res = closest_vector(lattice, point, budget)
         if res.distance > best:
             best = res.distance

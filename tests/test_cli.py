@@ -177,6 +177,15 @@ def test_covrad_golden_bytes(tmp_path):
         "fda571edcc92882afa779dc6fd09390b61593e3c495bc40f5d3e66c6ac94ef05")
 
 
+def test_covrad_float_lattice_golden_bytes(tmp_path):
+    # gauss lattices carry a dyadic exact form, not a declared integer one
+    out = tmp_path / "c.csv"
+    assert run(["covrad", "--n", "4", "--sampler", "gauss", "--lattices", "4",
+                "--trials", "200", "--seed", "7", "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "fb242733be88d7f54975097471e2f8bf5874115db82fba488359edecf31a98a9")
+
+
 # CSV digests pinned at fixed seeds: a refactor must not move one byte
 GOLDEN = [
     (["verify-siegel", "--n", "2", "--k", "1", "--t", "0.8", "--t", "1.0",

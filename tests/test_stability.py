@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import latstab as ls
+from latstab import stability
+from latstab.rng import stream_generator
 from latstab.stability import profile_csv_rows
 from latstab.subgroups import exists_below
 from conftest import random_unimodular
@@ -259,3 +261,48 @@ def test_covrad_below_nearest_plane_bound():
 def test_covrad_validation(z2):
     with pytest.raises(ValueError):
         ls.covrad_lower(z2, trials=0, rng_seed=1)
+
+
+def _covrad_every_trial(lattice, trials, rng_seed):
+    """Reference covrad: an exact CVP search at every trial."""
+    gen = stream_generator(rng_seed, 0)
+    best, arg = -1.0, ()
+    for _ in range(trials):
+        point = gen.random(lattice.dim) @ lattice.basis
+        res = ls.closest_vector(lattice, point)
+        if res.distance > best:
+            best, arg = res.distance, tuple(float(v) for v in point)
+    return best, arg
+
+
+def test_covrad_skips_only_trials_that_cannot_win(monkeypatch):
+    cases = [(random_unimodular(n, seed=71, stream=s), 80, s)
+             for n in range(2, 7) for s in range(2)]
+    cases += [(random_unimodular(n, seed=72, stream=s,
+                                 kind="gaussian_baseline"), 80, s)
+              for n in range(2, 6) for s in range(2)]
+    cases += [(ls.sample_exact_2d(seed=73, stream=s), 200, s)
+              for s in range(3)]
+    # Z^2: the deep holes tie, and most trials sit near a maximum already hit
+    cases += [(ls.Lattice.identity(2), 400, s) for s in range(3)]
+    for lat, trials, rng_seed in cases:
+        est = ls.covrad_lower(lat, trials, rng_seed)
+        best, arg = _covrad_every_trial(lat, trials, rng_seed)
+        assert (est.lower_bound, est.argmax_point, est.trials) == (
+            best, arg, trials)
+    # the first trial is always searched, and the pruning stays effective
+    searched = []
+    real = stability.closest_vector
+
+    def spy(lattice, target, budget):
+        searched.append(tuple(target))
+        return real(lattice, target, budget)
+
+    monkeypatch.setattr(stability, "closest_vector", spy)
+    for stream in range(3):
+        lat = random_unimodular(5, seed=74, stream=stream)
+        searched.clear()
+        ls.covrad_lower(lat, 200, rng_seed=stream)
+        first = stream_generator(stream, 0).random(5) @ lat.basis
+        assert searched[0] == tuple(first)
+        assert len(searched) <= 50
