@@ -20,7 +20,8 @@ from operator import mul
 import numpy as np
 
 from . import intmat
-from .enumeration import DEFAULT_BUDGET, NodeCounter, close_vectors, short_vectors
+from .enumeration import (DEFAULT_BUDGET, NodeCounter, _close_r2, close_vectors,
+                          short_vectors)
 from .errors import DegenerateBasisError, LatticeParseError
 from .reduction import DEFAULT_DELTA, Frame, lll_rows, nearest_plane
 
@@ -346,6 +347,12 @@ def _cvp_tie_key(coords):
     return (0 if first >= 0 else 1, coords)
 
 
+def _search_radius(seed_dist):
+    """Radius closest_vector searches around a Babai point at seed_dist;
+    the same IEEE operations on a float or elementwise on an array."""
+    return seed_dist * (1 + 1e-12) + 1e-15
+
+
 def _babai_recentre(lattice: Lattice, target):
     """The target as floats, its Babai coordinates, the residual t0 from the
     Babai point and the radius closest_vector searches around it (a small
@@ -357,8 +364,30 @@ def _babai_recentre(lattice: Lattice, target):
     seed = nearest_plane(frame, t)
     shift = [sum(map(mul, seed, col)) for col in zip(*frame.rows)]
     t0 = [tv - sv for tv, sv in zip(t, shift)]
-    seed_dist = math.sqrt(sum(map(mul, t0, t0)))
-    return t, seed, t0, seed_dist * (1 + 1e-12) + 1e-15
+    return t, seed, t0, _search_radius(math.sqrt(sum(map(mul, t0, t0))))
+
+
+def _babai_caps(lattice: Lattice, points: np.ndarray) -> np.ndarray:
+    """sqrt(_close_r2(radius)) of _babai_recentre for every row of points.
+
+    Bitwise the per-target values: _babai_recentre's arithmetic run over the
+    coordinate columns, each dot product summed left to right by the same
+    sum(map(mul, ...)) and np.rint rounding half to even like round. A
+    zero Babai coordinate subtracts +-0 where the list code skips the row,
+    which can flip only the sign of a zero residual entry and so no later
+    decision.
+    """
+    frame, _ = lattice._reduced
+    rows, _, c, bstar = frame
+    r = list(points.T)
+    seed = [None] * len(rows)
+    for i in range(len(rows) - 1, -1, -1):
+        xi = np.rint(sum(map(mul, r, bstar[i])) / c[i])
+        seed[i] = xi
+        r = [rt - xi * bt for rt, bt in zip(r, rows[i])]
+    t0 = [tc - sum(map(mul, seed, col))
+          for tc, col in zip(points.T, zip(*rows))]
+    return np.sqrt(_close_r2(_search_radius(np.sqrt(sum(map(mul, t0, t0))))))
 
 
 def closest_vector(lattice: Lattice, target,

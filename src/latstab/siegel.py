@@ -15,7 +15,6 @@ same (seed, stream) assignment.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,6 +247,9 @@ def _execute(task, source, params, n_samples, workers):
     chunk = max(1, (n_samples + workers * 4 - 1) // (workers * 4))
     ranges = [(s, min(s + chunk, n_samples))
               for s in range(0, n_samples, chunk)]
+    # imported here: single-worker runs never load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(task, source, params, a, b)
                    for a, b in ranges]

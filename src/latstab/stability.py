@@ -7,14 +7,18 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from . import subgroups
-from .enumeration import DEFAULT_BUDGET, _close_r2
+from .enumeration import DEFAULT_BUDGET
 from .errors import InvariantViolationError
-from .lattice import Lattice, Sublattice, _babai_recentre, closest_vector
+from .lattice import Lattice, Sublattice, _babai_caps, closest_vector
 from .rng import stream_generator
 
 # band inside which a minimal covolume of 1 still counts as stable
 STABILITY_TOL = 1e-12
+# covrad trials drawn and screened at once; bounds the screen's memory
+_COVRAD_BLOCK = 1024
 
 
 class PolygonPoint(NamedTuple):
@@ -190,6 +194,11 @@ def covrad_lower(lattice: Lattice, trials: int, rng_seed: int,
     A trial is searched only if it can raise the maximum: the search
     returns sqrt(d2) with d2 <= r2, its squared radius around the Babai
     point, so a trial with sqrt(r2) <= maximum cannot win and is skipped.
+    The caps sqrt(r2) of a block of trials come from one batched Babai pass
+    that is bitwise the per-trial one, so the same trials are searched, in
+    order, by closest_vector. Each point stays its own u @ basis product,
+    taken over a stack of 1 x n rows: a (block x n) @ basis matrix product
+    can round differently in the last bits and move the reported point.
     The node budget is spent per searched trial.
     """
     if trials < 1:
@@ -198,14 +207,17 @@ def covrad_lower(lattice: Lattice, trials: int, rng_seed: int,
     best = -1.0
     arg: tuple[float, ...] = ()
     basis = lattice.basis
-    for _ in range(trials):
-        point = gen.random(lattice.dim) @ basis
-        if math.sqrt(_close_r2(_babai_recentre(lattice, point)[3])) <= best:
-            continue
-        res = closest_vector(lattice, point, budget)
-        if res.distance > best:
-            best = res.distance
-            arg = tuple(float(v) for v in point)
+    for start in range(0, trials, _COVRAD_BLOCK):
+        draws = gen.random((min(_COVRAD_BLOCK, trials - start), lattice.dim))
+        # a stack of 1 x n rows: each point is its own u @ basis product
+        points = np.matmul(draws[:, None, :], basis)[:, 0, :]
+        for point, cap in zip(points, _babai_caps(lattice, points).tolist()):
+            if cap <= best:
+                continue
+            res = closest_vector(lattice, point, budget)
+            if res.distance > best:
+                best = res.distance
+                arg = tuple(float(v) for v in point)
     if best < 0:
         raise InvariantViolationError("covering radius scan found no point")
     return CovradEstimate(lower_bound=best, trials=trials, argmax_point=arg)

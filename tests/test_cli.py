@@ -3,10 +3,14 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import latstab
 from latstab import siegel, stability
 from latstab.cli import main
 from latstab.enumeration import DEFAULT_BUDGET
@@ -253,6 +257,17 @@ def test_degenerate_basis_is_a_usage_error(tmp_path, capsys):
                 "--output", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_cli_import_leaves_the_worker_pool_unloaded():
+    # single-worker runs never start a pool, so they need not load one
+    src = os.path.dirname(os.path.dirname(latstab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, latstab.cli; "
+            "print('concurrent.futures.process' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_stability_mass_reproducible_and_worker_independent(tmp_path):

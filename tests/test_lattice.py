@@ -14,8 +14,10 @@ from latstab.errors import (
     LatticeParseError,
 )
 from latstab import reduction
-from latstab.enumeration import NodeCounter, close_vectors, short_vectors
+from latstab.enumeration import (NodeCounter, _close_r2, close_vectors,
+                                 short_vectors)
 from latstab.intmat import bareiss_det
+from latstab.lattice import _babai_caps, _babai_recentre
 from latstab.reduction import Frame, gso, lll_rows
 from conftest import random_integer_rows, random_unimodular
 from oracles import box_coords, integer_gram_det, numpy_babai_distance
@@ -352,6 +354,25 @@ def test_cvp_builds_one_frame(monkeypatch):
     ls.enumerate_short_vectors(lat, 1.2)
     # the frame came out of the LLL behind _reduced
     assert calls == []
+
+
+def test_batched_babai_caps_are_bitwise_the_per_target_caps():
+    lats = [random_unimodular(n, seed=81, stream=s)
+            for n in range(2, 7) for s in range(3)]
+    lats += [random_unimodular(n, seed=82, stream=s, kind="gaussian_baseline")
+             for n in range(2, 6) for s in range(3)]
+    lats += [ls.sample_exact_2d(seed=83, stream=s) for s in range(3)]
+    lats.append(ls.Lattice.identity(2))
+    # a larger prime puts the targets far from the origin
+    lats += [ls.sample_lattice(ls.SamplerSpec("goldstein_mayer", n, 84,
+                                              1000000007, s))
+             for n in range(2, 7) for s in range(2)]
+    for i, lat in enumerate(lats):
+        points = np.random.default_rng(i).random((300, lat.dim)) @ lat.basis
+        caps = _babai_caps(lat, points)
+        assert caps.shape == (300,)
+        for point, cap in zip(points, caps.tolist()):
+            assert cap == math.sqrt(_close_r2(_babai_recentre(lat, point)[3]))
 
 
 # -- saturation and sublattices -------------------------------------------------

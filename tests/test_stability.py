@@ -7,6 +7,8 @@ import pytest
 
 import latstab as ls
 from latstab import stability
+from latstab.enumeration import _close_r2
+from latstab.lattice import _babai_recentre
 from latstab.rng import stream_generator
 from latstab.stability import profile_csv_rows
 from latstab.subgroups import exists_below
@@ -275,6 +277,19 @@ def _covrad_every_trial(lattice, trials, rng_seed):
     return best, arg
 
 
+def _covrad_searched_one_at_a_time(lattice, trials, rng_seed):
+    """Targets that a skip test run trial by trial sends to closest_vector."""
+    gen = stream_generator(rng_seed, 0)
+    best, searched = -1.0, []
+    for _ in range(trials):
+        point = gen.random(lattice.dim) @ lattice.basis
+        if math.sqrt(_close_r2(_babai_recentre(lattice, point)[3])) <= best:
+            continue
+        searched.append(tuple(point))
+        best = max(best, ls.closest_vector(lattice, point).distance)
+    return searched
+
+
 def test_covrad_skips_only_trials_that_cannot_win(monkeypatch):
     cases = [(random_unimodular(n, seed=71, stream=s), 80, s)
              for n in range(2, 7) for s in range(2)]
@@ -286,12 +301,6 @@ def test_covrad_skips_only_trials_that_cannot_win(monkeypatch):
     # Z^2: many points lie near its deep holes, so the skip test often
     # meets a bound just at or below the running maximum
     cases += [(ls.Lattice.identity(2), 400, s) for s in range(3)]
-    for lat, trials, rng_seed in cases:
-        est = ls.covrad_lower(lat, trials, rng_seed)
-        best, arg = _covrad_every_trial(lat, trials, rng_seed)
-        assert (est.lower_bound, est.argmax_point, est.trials) == (
-            best, arg, trials)
-    # the first trial is always searched, and the pruning stays effective
     searched = []
     real = stability.closest_vector
 
@@ -300,6 +309,17 @@ def test_covrad_skips_only_trials_that_cannot_win(monkeypatch):
         return real(lattice, target, budget)
 
     monkeypatch.setattr(stability, "closest_vector", spy)
+    for lat, trials, rng_seed in cases:
+        searched.clear()
+        est = ls.covrad_lower(lat, trials, rng_seed)
+        best, arg = _covrad_every_trial(lat, trials, rng_seed)
+        assert (est.lower_bound, est.argmax_point, est.trials) == (
+            best, arg, trials)
+        # the batched screen searches the trials, in the order, that the
+        # trial-by-trial screen searches
+        assert searched == _covrad_searched_one_at_a_time(lat, trials,
+                                                          rng_seed)
+    # the first trial is always searched, and the pruning stays effective
     for stream in range(3):
         lat = random_unimodular(5, seed=74, stream=stream)
         searched.clear()
@@ -307,3 +327,33 @@ def test_covrad_skips_only_trials_that_cannot_win(monkeypatch):
         first = stream_generator(stream, 0).random(5) @ lat.basis
         assert searched[0] == tuple(first)
         assert len(searched) <= 50
+        assert searched == _covrad_searched_one_at_a_time(lat, 200, stream)
+
+
+def test_covrad_screens_fixed_size_blocks(monkeypatch):
+    block = stability._COVRAD_BLOCK
+    # a block of draws is the same doubles as one draw per trial
+    for n in (2, 5):
+        blocked = stream_generator(11, 0).random((block, n))
+        gen = stream_generator(11, 0)
+        per_trial = np.array([gen.random(n) for _ in range(block)])
+        assert blocked.tobytes() == per_trial.tobytes()
+    sizes = []
+    real = stability._babai_caps
+
+    def spy(lattice, points):
+        sizes.append(len(points))
+        return real(lattice, points)
+
+    monkeypatch.setattr(stability, "_babai_caps", spy)
+    cases = [(random_unimodular(n, seed=75, stream=n), n) for n in (3, 5)]
+    cases.append((random_unimodular(4, seed=76, stream=0,
+                                    kind="gaussian_baseline"), 9))
+    for lat, rng_seed in cases:
+        for trials, blocks in ((block + 3, [block, 3]),
+                               (2 * block, [block, block])):
+            sizes.clear()
+            est = ls.covrad_lower(lat, trials, rng_seed)
+            assert sizes == blocks
+            assert (est.lower_bound, est.argmax_point) == _covrad_every_trial(
+                lat, trials, rng_seed)
