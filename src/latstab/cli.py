@@ -30,7 +30,7 @@ from .errors import (
     LatticeParseError,
 )
 from .lattice import format_lattice_text, read_lattice
-from .sampling import DEFAULT_P, SamplerSpec, sample_lattice
+from .sampling import DEFAULT_P, SamplerSpec
 
 SAMPLER_NAMES = {
     "gm": "goldstein_mayer",
@@ -173,10 +173,8 @@ def _run_alpha(params: dict) -> list[Path]:
     return outputs
 
 
-def _sample_chunk(spec: SamplerSpec, _params, start: int,
-                  stop: int) -> list[str]:
-    return [format_lattice_text(sample_lattice(spec.with_stream(i)))
-            for i in range(start, stop)]
+def _sample_text(_stream, lattice) -> str:
+    return format_lattice_text(lattice)
 
 
 def _run_sample(params: dict) -> list[Path]:
@@ -185,9 +183,8 @@ def _run_sample(params: dict) -> list[Path]:
     spec = _spec_from_params(params)
     out_dir = Path(params["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    chunks = siegel._execute(_sample_chunk, spec, None, params["samples"],
-                             params["workers"])
-    texts = [text for chunk in chunks for text in chunk]
+    texts = siegel._execute(_sample_text, spec, params["samples"],
+                            params["workers"])
     outputs = []
     for i, text in enumerate(texts):
         path = out_dir / f"lattice_{i:06d}.txt"

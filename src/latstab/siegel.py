@@ -7,15 +7,18 @@ corresponding invariant integral, which has the closed form B(n, k) t^n / n
 up to the normalization questions the experiments here are designed to
 measure.
 
-All accumulators are mergeable and all sums of integer-valued samples stay
-integers, so parallel runs reproduce serial results bit for bit given the
-same (seed, stream) assignment.
+Each experiment gets one result per lattice of streams 0..n_samples-1, in
+stream order for any worker count, and reduces them once: integer counts by
+exact integer sums, float values in stream order. So parallel runs reproduce
+serial results bit for bit given the same (seed, stream) assignment.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -190,70 +193,42 @@ def _map_streams(work, source, start, stop) -> list:
     return out
 
 
-def _task_counts(source, params, start, stop):
-    """One search per lattice at the largest threshold, tallied per
-    threshold: per-threshold count sums and sums of pairwise products."""
-    k, ts, budget = params
-    top = max(ts)
-
-    def counts(_, lat):
-        found = subgroups.subgroups_within(lat, k, top, budget)
-        return [2 * sum(1 for covol, _ in found if covol <= t) for t in ts]
-
-    m = len(ts)
-    sums = [0] * m
-    products = [[0] * m for _ in range(m)]
-    for row_counts in _map_streams(counts, source, start, stop):
-        for a, ca in enumerate(row_counts):
-            sums[a] += ca
-            row = products[a]
-            for b, cb in enumerate(row_counts):
-                row[b] += ca * cb
-    return sums, products
+def _counts(k, ts, budget, _stream, lat):
+    """Signed counts at each threshold of ts, from one search at the
+    largest."""
+    found = subgroups.subgroups_within(lat, k, max(ts), budget)
+    return [2 * sum(1 for covol, _ in found if covol <= t) for t in ts]
 
 
-def _task_mass(source, params, start, stop):
-    n, budget = params
-
-    def stable_ranks(_, lat):
-        return [not subgroups.exists_below(
-                    lat, k, (1.0 - STABILITY_TOL) ** k, budget)
-                for k in range(1, n)]
-
-    per_k = [0] * (n - 1)
-    overall = 0
-    for stable in _map_streams(stable_ranks, source, start, stop):
-        per_k = [c + s for c, s in zip(per_k, stable)]
-        overall += all(stable)
-    return tuple(per_k), overall
+def _stable_ranks(n, budget, _stream, lat):
+    return [not subgroups.exists_below(
+                lat, k, (1.0 - STABILITY_TOL) ** k, budget)
+            for k in range(1, n)]
 
 
-def _task_alpha(source, params, start, stop):
-    k, budget = params
-    return _map_streams(
-        lambda _, lat: subgroups.minimal_subgroup(lat, k, budget)[0]
-        ** (1.0 / k), source, start, stop)
+def _alpha_value(k, budget, _stream, lat):
+    return subgroups.minimal_subgroup(lat, k, budget)[0] ** (1.0 / k)
 
 
-def _execute(task, source, params, n_samples, workers):
-    """Run task(source, params, start, stop) over streams 0..n_samples-1,
-    returning per-chunk payloads in stream order. Results are independent
-    of the worker count."""
+def _execute(work, source, n_samples, workers):
+    """[work(i, lattice of stream i) for i in 0..n_samples-1] in stream order,
+    for any worker count. The pool, capped at the CPU count, maps chunks of
+    streams; work must pickle for it, as a partial of a module function."""
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
+    workers = min(workers, os.cpu_count() or 1)
     picklable = isinstance(source, SamplerSpec)
     if workers <= 1 or not picklable or n_samples < 2 * workers:
-        return [task(source, params, 0, n_samples)]
+        return _map_streams(work, source, 0, n_samples)
     chunk = max(1, (n_samples + workers * 4 - 1) // (workers * 4))
-    ranges = [(s, min(s + chunk, n_samples))
-              for s in range(0, n_samples, chunk)]
     # imported here: single-worker runs never load multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(task, source, params, a, b)
-                   for a, b in ranges]
-        return [f.result() for f in futures]
+        futures = [pool.submit(_map_streams, work, source, s,
+                               min(s + chunk, n_samples))
+                   for s in range(0, n_samples, chunk)]
+        return [r for f in futures for r in f.result()]
 
 
 def _count_moments(source, k: int, ts, n_samples: int, workers: int,
@@ -264,11 +239,11 @@ def _count_moments(source, k: int, ts, n_samples: int, workers: int,
         raise ValueError("n_samples must be at least 2")
     for t in ts:
         _check_threshold(t)
-    payloads = _execute(_task_counts, source, (k, tuple(ts), budget),
-                        n_samples, workers)
+    rows = _execute(partial(_counts, k, tuple(ts), budget), source,
+                    n_samples, workers)
     m = len(ts)
-    sums = [sum(p[0][a] for p in payloads) for a in range(m)]
-    products = [[sum(p[1][a][b] for p in payloads) for b in range(m)]
+    sums = [sum(r[a] for r in rows) for a in range(m)]
+    products = [[sum(r[a] * r[b] for r in rows) for b in range(m)]
                 for a in range(m)]
     return sums, products
 
@@ -326,10 +301,10 @@ def scaling_ratio(source, k: int, t: float, n_samples: int,
             "no counts observed at the smaller threshold; "
             "increase t or the sample budget"
         )
-    xbar = sx / n
-    ybar = sy / n
-    var_x = max((n * sxx - sx * sx) / (n * (n - 1)), 0.0)
-    var_y = max((n * syy - sy * sy) / (n * (n - 1)), 0.0)
+    x = McEstimate(n, sx, sxx)
+    y = McEstimate(n, sy, syy)
+    xbar, ybar = x.mean, y.mean
+    var_x, var_y = x.variance, y.variance
     cov = (n * sxy - sx * sy) / (n * (n - 1))
     ratio = ybar / xbar
     var_ratio = (var_y - 2.0 * ratio * cov + ratio * ratio * var_x) / (
@@ -371,15 +346,15 @@ def stability_mass(source, n_samples: int, workers: int = 1,
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     n_dim = _source_dim(source)
-    payloads = _execute(_task_mass, source, (n_dim, budget), n_samples,
-                        workers)
+    stable = _execute(partial(_stable_ranks, n_dim, budget), source,
+                      n_samples, workers)
     label = _source_label(source)
     seed = _source_seed(source)
     per_k = []
     for j in range(n_dim - 1):
-        tot = sum(p[0][j] for p in payloads)
+        tot = sum(s[j] for s in stable)
         per_k.append(McEstimate(n_samples, tot, tot, label, seed))
-    overall_tot = sum(p[1] for p in payloads)
+    overall_tot = sum(all(s) for s in stable)
     overall = McEstimate(n_samples, overall_tot, overall_tot, label, seed)
     return MassResult(
         n=n_dim, sampler=label, seed=seed, n_samples=n_samples,
@@ -472,10 +447,8 @@ def alpha_quantiles(source, k: int, n_samples: int, workers: int = 1,
         raise ValueError("n_samples must be at least 1")
     n_dim = _source_dim(source)
     row = constants.rankin_row(n_dim, k)
-    payloads = _execute(_task_alpha, source, (k, budget), n_samples, workers)
-    values: list[float] = []
-    for p in payloads:
-        values.extend(p)
+    values = _execute(partial(_alpha_value, k, budget), source, n_samples,
+                      workers)
     if row.alpha_bar is not None:
         worst = max(values)
         if worst > row.alpha_bar + 1e-9:

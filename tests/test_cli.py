@@ -213,6 +213,9 @@ GOLDEN = [
     (["alpha-quantiles", "--n", "6", "--k", "4", "--sampler", "gm",
       "--samples", "40", "--seed", "11"],
      "3a9754b8370d1dc2ca693b053762db1cd98d3c086e9d434dfd2a7538fe26618f"),
+    (["alpha-quantiles", "--n", "6", "--k", "4", "--sampler", "gm",
+      "--samples", "40", "--seed", "11", "--workers", "2"],
+     "3a9754b8370d1dc2ca693b053762db1cd98d3c086e9d434dfd2a7538fe26618f"),
     (["alpha-quantiles", "--n", "5", "--k", "2", "--sampler", "gauss",
       "--samples", "100", "--seed", "12"],
      "4881bad8113c53fd206805b6c86c3bb8681c55e69536a6969821b55f74b46151"),
@@ -222,7 +225,7 @@ GOLDEN = [
 @pytest.mark.parametrize("argv, digest", GOLDEN, ids=[
     "siegel-n2-3t", "siegel-n2-1t", "siegel-n3-k2", "siegel-n3-k2-w2",
     "mass-n5-gm", "mass-n4-gauss", "quantiles-n6-k4-gm",
-    "quantiles-n5-k2-gauss"])
+    "quantiles-n6-k4-gm-w2", "quantiles-n5-k2-gauss"])
 def test_golden_bytes(tmp_path, argv, digest):
     out = tmp_path / "out.csv"
     assert run(argv + ["--output", str(out)]) == 0

@@ -1,7 +1,10 @@
 """Transform counts, mergeable estimates, and the Monte Carlo drivers."""
 
+import concurrent.futures
 import math
+import os
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 
 import latstab as ls
 from latstab import siegel
+from latstab.enumeration import DEFAULT_BUDGET
 from latstab.errors import BudgetExceededError, InvariantViolationError
 from latstab.siegel import McEstimate
 from conftest import random_unimodular
@@ -217,6 +221,56 @@ def test_budget_errors_name_the_stream():
             r"a rank-\d subgroup search run at rank \d on the lattice, "
             r"threshold [0-9.e+-]+, on the lattice of stream 2",
             str(err.value))
+
+
+def test_pool_budget_errors_name_the_stream():
+    # budget 1 runs out on the first lattice; the pool raises the error of
+    # its first chunk, which holds stream 0
+    spec = ls.SamplerSpec(kind="goldstein_mayer", n=4, seed=5)
+    runs = [
+        lambda: ls.alpha_quantiles(spec, 1, 8, workers=2, budget=1),
+        lambda: ls.mc_integral(spec, 1, 1.0, 8, workers=2, budget=1),
+    ]
+    for run in runs:
+        with pytest.raises(BudgetExceededError) as err:
+            run()
+        assert str(err.value).endswith(", on the lattice of stream 0")
+
+
+def test_pool_is_capped_at_the_cpu_count(monkeypatch):
+    # the fake pool records max_workers and runs each submit inline, so no
+    # process is started whatever the worker count asked for
+    seen = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def submit(self, fn, *args):
+            done = concurrent.futures.Future()
+            done.set_result(fn(*args))
+            return done
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    spec = ls.SamplerSpec(kind="goldstein_mayer", n=3, seed=5)
+    work = partial(siegel._alpha_value, 1, DEFAULT_BUDGET)
+    serial = siegel._map_streams(work, spec, 0, 8)
+    assert len(serial) == 8
+    assert siegel._execute(work, spec, 8, 10**6) == serial
+    assert all(w <= os.cpu_count() for w in seen)
+    # with 2 CPUs the 8 samples take the pool at 2 workers; with an unknown
+    # CPU count the run is serial
+    for cpus, pools in ((2, [2]), (None, [])):
+        seen.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert siegel._execute(work, spec, 8, 10**6) == serial
+        assert seen == pools
 
 
 def test_normalization_ratio_n2():
