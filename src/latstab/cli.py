@@ -107,11 +107,8 @@ def _make_seed(value) -> int:
 
 def _spec_from_params(params: dict) -> SamplerSpec:
     kind = SAMPLER_NAMES[params["sampler"]]
-    p = params.get("p")
-    if kind == "goldstein_mayer" and p is None:
-        p = DEFAULT_P
-    return SamplerSpec(kind=kind, n=params["n"], seed=params["seed"],
-                       p=p if kind == "goldstein_mayer" else None)
+    p = params.get("p") if kind == "goldstein_mayer" else None
+    return SamplerSpec(kind=kind, n=params["n"], seed=params["seed"], p=p)
 
 
 # -- command runners (pure functions of a parameter dict) --------------------

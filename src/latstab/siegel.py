@@ -8,9 +8,10 @@ up to the normalization questions the experiments here are designed to
 measure.
 
 Each experiment gets one result per lattice of streams 0..n_samples-1, in
-stream order for any worker count, and reduces them once: integer counts by
-exact integer sums, float values in stream order. So parallel runs reproduce
-serial results bit for bit given the same (seed, stream) assignment.
+stream order for any worker count, and reduces that list once: every Monte
+Carlo estimate is built from exact integer sums over it, and float values
+are taken in stream order. So parallel runs reproduce serial results bit
+for bit given the same (seed, stream) assignment.
 """
 
 from __future__ import annotations
@@ -32,30 +33,24 @@ from .stability import STABILITY_TOL
 QUANTILE_PERCENTS = (1, 5, 25, 50, 75, 95, 99)
 
 
-# -- mergeable estimate ------------------------------------------------------
+# -- Monte Carlo estimate ----------------------------------------------------
 
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Monte Carlo accumulator: counts plus raw first and second moments.
-
-    Merging two estimates equals estimating the concatenated streams; on
-    integer-valued samples the merge is exactly associative and commutative
-    because the totals are exact integers.
+    """Monte Carlo estimate: the sample count plus the sums of the values and
+    of their squares, which are exact integers on integer-valued samples.
     """
 
     n_samples: int
     total: int | float
     total_sq: int | float
-    sampler: str = ""
-    seed: int | None = None
 
     @classmethod
-    def from_values(cls, values, sampler: str = "",
-                    seed: int | None = None) -> "McEstimate":
+    def from_values(cls, values) -> "McEstimate":
         total = sum(values)
         total_sq = sum(v * v for v in values)
-        return cls(len(values), total, total_sq, sampler, seed)
+        return cls(len(values), total, total_sq)
 
     @property
     def mean(self) -> float:
@@ -82,17 +77,6 @@ class McEstimate:
         """Standard error treating the samples as Bernoulli indicators."""
         p = self.mean
         return math.sqrt(max(p * (1.0 - p), 0.0) / self.n_samples)
-
-    def merge(self, other: "McEstimate") -> "McEstimate":
-        if (self.sampler, self.seed) != (other.sampler, other.seed):
-            raise ValueError("merging estimates from different sources")
-        return McEstimate(
-            self.n_samples + other.n_samples,
-            self.total + other.total,
-            self.total_sq + other.total_sq,
-            self.sampler,
-            self.seed,
-        )
 
 
 # -- the transform of a ball indicator ---------------------------------------
@@ -175,8 +159,14 @@ def _source_seed(source):
     return source.seed if isinstance(source, SamplerSpec) else None
 
 
-def _source_dim(source) -> int:
-    return source.n if isinstance(source, SamplerSpec) else _draw(source, 0).dim
+def _source_dim(source):
+    """(n, the source to draw the pass from). A SamplerSpec declares n; an
+    injected source is asked for stream 0, and the source returned hands
+    that lattice back for stream 0 instead of drawing it again."""
+    if isinstance(source, SamplerSpec):
+        return source.n, source
+    first = source(0)
+    return first.dim, lambda stream: first if stream == 0 else source(stream)
 
 
 def _map_streams(work, source, start, stop) -> list:
@@ -200,10 +190,10 @@ def _counts(k, ts, budget, _stream, lat):
     return [2 * sum(1 for covol, _ in found if covol <= t) for t in ts]
 
 
-def _stable_ranks(n, budget, _stream, lat):
+def _stable_ranks(budget, _stream, lat):
     return [not subgroups.exists_below(
                 lat, k, (1.0 - STABILITY_TOL) ** k, budget)
-            for k in range(1, n)]
+            for k in range(1, lat.dim)]
 
 
 def _alpha_value(k, budget, _stream, lat):
@@ -231,21 +221,16 @@ def _execute(work, source, n_samples, workers):
         return [r for f in futures for r in f.result()]
 
 
-def _count_moments(source, k: int, ts, n_samples: int, workers: int,
-                   budget: int):
-    """Count sums per threshold and sums of pairwise count products over
-    streams 0..n_samples-1, from one search per lattice."""
+def _count_rows(source, k: int, ts, n_samples: int, workers: int,
+                budget: int) -> list:
+    """The signed counts at each threshold of ts for each lattice of streams
+    0..n_samples-1, from one search per lattice."""
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     for t in ts:
         _check_threshold(t)
-    rows = _execute(partial(_counts, k, tuple(ts), budget), source,
+    return _execute(partial(_counts, k, tuple(ts), budget), source,
                     n_samples, workers)
-    m = len(ts)
-    sums = [sum(r[a] for r in rows) for a in range(m)]
-    products = [[sum(r[a] * r[b] for r in rows) for b in range(m)]
-                for a in range(m)]
-    return sums, products
 
 
 # -- experiments --------------------------------------------------------------
@@ -254,10 +239,8 @@ def _count_moments(source, k: int, ts, n_samples: int, workers: int,
 def mc_integral(source, k: int, t: float, n_samples: int,
                 workers: int = 1, budget: int = DEFAULT_BUDGET) -> McEstimate:
     """Mean transform count over sampled lattices at threshold t."""
-    (total,), ((total_sq,),) = _count_moments(source, k, (t,), n_samples,
-                                              workers, budget)
-    return McEstimate(n_samples, total, total_sq,
-                      sampler=_source_label(source), seed=_source_seed(source))
+    rows = _count_rows(source, k, (t,), n_samples, workers, budget)
+    return McEstimate.from_values([row[0] for row in rows])
 
 
 @dataclass(frozen=True)
@@ -291,21 +274,21 @@ def scaling_ratio(source, k: int, t: float, n_samples: int,
     """
     if not t > 0 or factor <= 1.0:
         raise ValueError("need t > 0 and factor > 1")
-    n_dim = _source_dim(source)
+    n_dim, lattices = _source_dim(source)
     t2 = factor * t
-    (sx, sy), ((sxx, sxy), (_, syy)) = _count_moments(
-        source, k, (t, t2), n_samples, workers, budget)
+    rows = _count_rows(lattices, k, (t, t2), n_samples, workers, budget)
     n = n_samples
-    if sx == 0:
+    x = McEstimate.from_values([a for a, _ in rows])
+    y = McEstimate.from_values([b for _, b in rows])
+    if x.total == 0:
         raise InvariantViolationError(
             "no counts observed at the smaller threshold; "
             "increase t or the sample budget"
         )
-    x = McEstimate(n, sx, sxx)
-    y = McEstimate(n, sy, syy)
     xbar, ybar = x.mean, y.mean
     var_x, var_y = x.variance, y.variance
-    cov = (n * sxy - sx * sy) / (n * (n - 1))
+    sxy = sum(a * b for a, b in rows)
+    cov = (n * sxy - x.total * y.total) / (n * (n - 1))
     ratio = ybar / xbar
     var_ratio = (var_y - 2.0 * ratio * cov + ratio * ratio * var_x) / (
         n * xbar * xbar
@@ -343,22 +326,13 @@ class MassResult:
 def stability_mass(source, n_samples: int, workers: int = 1,
                    budget: int = DEFAULT_BUDGET) -> MassResult:
     """Fraction of sampled lattices with every rank-k invariant >= 1."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    n_dim = _source_dim(source)
-    stable = _execute(partial(_stable_ranks, n_dim, budget), source,
-                      n_samples, workers)
-    label = _source_label(source)
-    seed = _source_seed(source)
-    per_k = []
-    for j in range(n_dim - 1):
-        tot = sum(s[j] for s in stable)
-        per_k.append(McEstimate(n_samples, tot, tot, label, seed))
-    overall_tot = sum(all(s) for s in stable)
-    overall = McEstimate(n_samples, overall_tot, overall_tot, label, seed)
+    stable = _execute(partial(_stable_ranks, budget), source, n_samples,
+                      workers)
+    per_k = tuple(McEstimate.from_values(column) for column in zip(*stable))
     return MassResult(
-        n=n_dim, sampler=label, seed=seed, n_samples=n_samples,
-        per_k=tuple(per_k), overall=overall,
+        n=len(per_k) + 1, sampler=_source_label(source),
+        seed=_source_seed(source), n_samples=n_samples, per_k=per_k,
+        overall=McEstimate.from_values([all(s) for s in stable]),
     )
 
 
@@ -400,12 +374,12 @@ def normalization_ratio(source, k: int, t_list, n_samples: int,
     ts = sorted(float(t) for t in t_list)
     if len(ts) < 2:
         raise ValueError("need at least two thresholds")
-    n_dim = _source_dim(source)
+    n_dim, lattices = _source_dim(source)
     refs = [_reference(n_dim, k, t) for t in ts]
-    sums, products = _count_moments(source, k, ts, n_samples, workers, budget)
+    counts = _count_rows(lattices, k, ts, n_samples, workers, budget)
     rows = []
-    for a, (t, ref) in enumerate(zip(ts, refs)):
-        est = McEstimate(n_samples, sums[a], products[a][a])
+    for t, ref, column in zip(ts, refs, zip(*counts)):
+        est = McEstimate.from_values(column)
         rows.append(NormalizationRow(
             t=t, mean=est.mean, stderr=est.stderr, reference=ref,
             ratio=est.mean / ref, ratio_stderr=est.stderr / ref,
@@ -443,11 +417,9 @@ def alpha_quantiles(source, k: int, n_samples: int, workers: int = 1,
     value is classically known, and enforces the hard per-sample bound in
     that case.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    n_dim = _source_dim(source)
+    n_dim, lattices = _source_dim(source)
     row = constants.rankin_row(n_dim, k)
-    values = _execute(partial(_alpha_value, k, budget), source, n_samples,
+    values = _execute(partial(_alpha_value, k, budget), lattices, n_samples,
                       workers)
     if row.alpha_bar is not None:
         worst = max(values)

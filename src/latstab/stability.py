@@ -75,19 +75,17 @@ def min_covolume(lattice: Lattice, k: int,
     return covol, sub
 
 
-def alpha(lattice: Lattice, k: int, budget: int = DEFAULT_BUDGET, *,
-          check_unimodular: bool = True) -> tuple[float, Sublattice]:
+def alpha(lattice: Lattice, k: int,
+          budget: int = DEFAULT_BUDGET) -> tuple[float, Sublattice]:
     """Minimum of covol(D)^(1/k) over rank-k subgroups D, plus a minimizer.
 
-    The public contract restricts inputs to unimodular lattices; the
-    check_unimodular escape hatch exists for scaling tests only.
+    The public contract restricts inputs to unimodular lattices.
     """
     if not 1 <= k <= lattice.dim - 1:
         raise ValueError(
             f"k must lie in [1, n-1] = [1, {lattice.dim - 1}], got {k}"
         )
-    if check_unimodular:
-        _require_unimodular(lattice)
+    _require_unimodular(lattice)
     covol, sub = min_covolume(lattice, k, budget)
     return covol ** (1.0 / k), sub
 

@@ -1,15 +1,14 @@
-"""Transform counts, mergeable estimates, and the Monte Carlo drivers."""
+"""Transform counts, Monte Carlo estimates, and the Monte Carlo drivers."""
 
 import concurrent.futures
 import math
 import os
 import re
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import latstab as ls
 from latstab import siegel
@@ -108,7 +107,7 @@ def test_unstable_sample_has_positive_count():
     assert found > 0
 
 
-# -- the mergeable estimate -----------------------------------------------------
+# -- the Monte Carlo estimate ---------------------------------------------------
 
 
 def test_mc_estimate_moments():
@@ -116,30 +115,6 @@ def test_mc_estimate_moments():
     assert est.mean == 2.5
     assert abs(est.variance - np.var([1, 2, 3, 4], ddof=1)) < 1e-15
     assert abs(est.stderr - math.sqrt(est.variance / 4)) < 1e-15
-
-
-@given(st.lists(st.integers(0, 50), min_size=1, max_size=30),
-       st.lists(st.integers(0, 50), min_size=1, max_size=30),
-       st.lists(st.integers(0, 50), min_size=1, max_size=30))
-@settings(max_examples=60)
-def test_merge_associative_commutative(a, b, c):
-    ea, eb, ec = (McEstimate.from_values(v) for v in (a, b, c))
-    left = ea.merge(eb).merge(ec)
-    right = ea.merge(eb.merge(ec))
-    assert left == right
-    assert ea.merge(eb).total == eb.merge(ea).total
-    assert ea.merge(eb).total_sq == eb.merge(ea).total_sq
-    concat = McEstimate.from_values(a + b + c)
-    assert left.n_samples == concat.n_samples
-    assert left.total == concat.total
-    assert left.total_sq == concat.total_sq
-
-
-def test_merge_rejects_mixed_sources():
-    a = McEstimate.from_values([1], sampler="x", seed=1)
-    b = McEstimate.from_values([2], sampler="y", seed=1)
-    with pytest.raises(ValueError):
-        a.merge(b)
 
 
 def test_binomial_stderr():
@@ -186,7 +161,7 @@ def test_mc_integral_deterministic_and_worker_independent():
     again = ls.mc_integral(spec, 1, 1.0, 600, workers=1)
     parallel = ls.mc_integral(spec, 1, 1.0, 600, workers=3)
     assert serial == again
-    assert serial == parallel  # exact integer totals merge exactly
+    assert serial == parallel  # exact integer totals over the same list
 
 
 def test_stability_mass_worker_independent():
@@ -300,6 +275,27 @@ def test_normalization_ratio_draws_each_lattice_once(monkeypatch):
     # tallying one search at the largest t equals a search per t
     for row, est in zip(rep.rows, singles):
         assert (row.mean, row.stderr) == (est.mean, est.stderr)
+    # an injected source is asked for each stream once, in stream order, and
+    # gives every driver the results of the spec it draws from, apart from
+    # the source's label and seed
+    def injected(stream):
+        draws.append(stream)
+        return real(spec.with_stream(stream))
+
+    runs = [
+        lambda src: ls.normalization_ratio(src, 1, ts, 40),
+        lambda src: ls.scaling_ratio(src, 1, 1.0, 40),
+        lambda src: replace(ls.stability_mass(src, 40), sampler="", seed=None),
+        lambda src: replace(ls.alpha_quantiles(src, 1, 40), sampler="",
+                            seed=None),
+    ]
+    for run in runs:
+        draws.clear()
+        expected = run(spec)
+        assert sorted(draws) == list(range(40))
+        draws.clear()
+        assert run(injected) == expected
+        assert draws == list(range(40))
 
 
 def test_counting_rejects_overflowing_thresholds():
@@ -319,6 +315,15 @@ def test_scaling_ratio_n2():
     assert check.expected == 4.0
     assert abs(check.z) <= 5.0
     assert check.t_big == 1.6
+
+
+def test_scaling_ratio_values_are_pinned():
+    # the ratio of the paired means, its delta-method standard error and z
+    # on a fixed gm stream, bit for bit
+    spec = ls.SamplerSpec(kind="goldstein_mayer", n=3, seed=5)
+    check = ls.scaling_ratio(spec, 1, 1.0, 300)
+    assert (check.ratio.hex(), check.stderr.hex(), check.z.hex()) == (
+        "0x1.027886fd96e67p+3", "0x1.551a84549ee78p-2", "0x1.dab70af81bab8p-3")
 
 
 def test_alpha_quantiles_deterministic_and_bounded():
