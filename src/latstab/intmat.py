@@ -8,6 +8,7 @@ size. Floating point never enters these functions.
 from __future__ import annotations
 
 from math import gcd
+from operator import mul
 
 IntMatrix = list[list[int]]
 
@@ -23,12 +24,12 @@ def identity(m: int) -> IntMatrix:
 def matmul(a, b) -> IntMatrix:
     """Exact product of two integer matrices (lists of rows)."""
     bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def gram(a) -> IntMatrix:
     """a @ a.T for an integer matrix given by rows."""
-    return [[sum(x * y for x, y in zip(r, s)) for s in a] for r in a]
+    return [[sum(map(mul, r, s)) for s in a] for r in a]
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:

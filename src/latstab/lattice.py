@@ -33,7 +33,7 @@ IntRows = tuple[tuple[int, ...], ...]
 
 
 def _freeze_rows(rows) -> IntRows:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    return tuple(tuple(map(int, row)) for row in rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,13 +231,11 @@ def lll_reduce(lattice: Lattice, delta: float = DEFAULT_DELTA,
 
 
 def exact_gram_determinant(lattice: Lattice, coords) -> int:
-    """det(C G C^T) over the integers, G the exact Gram of the lattice."""
-    gz = lattice._exact_gram
-    cg = [[sum(int(ci) * gz[i][j] for i, ci in enumerate(row))
-           for j in range(len(gz))] for row in coords]
-    small = [[sum(x * int(y) for x, y in zip(r, row)) for row in coords]
-             for r in cg]
-    return intmat.bareiss_det(small)
+    """det(C G C^T) over the integers, G the exact Gram of the lattice,
+    formed as the Gram of the vectors C M, whose entries are far smaller."""
+    v = intmat.matmul([list(map(int, row)) for row in coords],
+                      lattice._exact[0])
+    return intmat.bareiss_det(intmat.gram(v))
 
 
 def subgroup_covolume(lattice: Lattice, coords) -> float:

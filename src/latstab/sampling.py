@@ -18,7 +18,8 @@ order-independent by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from copy import copy
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,7 +89,11 @@ class SamplerSpec:
             object.__setattr__(self, "p", p)
 
     def with_stream(self, stream: int) -> "SamplerSpec":
-        return replace(self, stream=stream)
+        # a copy: the fields were validated when this spec was built, so the
+        # primality test of p runs once per spec, not once per stream
+        spec = copy(self)
+        object.__setattr__(spec, "stream", stream)
+        return spec
 
     def label(self) -> str:
         if self.kind == "goldstein_mayer":

@@ -29,6 +29,7 @@ integer coordinates in the lattice before its covolume is evaluated.
 from __future__ import annotations
 
 from math import sqrt
+from operator import mul
 
 from . import intmat
 from .constants import hermite_upper
@@ -108,12 +109,8 @@ def _project(rows, lift, x):
     reduced level formed by the remaining rows projected orthogonally to it).
     """
     w = intmat.complete_primitive_row(x)
-    m = len(rows)
-    width = len(rows[0])
-    new_rows = [
-        [sum(w[i][j] * rows[j][c] for j in range(m)) for c in range(width)]
-        for i in range(m)
-    ]
+    cols = list(zip(*rows))
+    new_rows = [[sum(map(mul, wi, col)) for col in cols] for wi in w]
     lift2 = intmat.matmul(w, lift)
     v = new_rows[0]
     vn2 = dot(v, v)
@@ -174,21 +171,25 @@ def minimal_subgroup(lattice: Lattice, k: int,
     level, rank, scale, to_lattice = _route(lattice, k)
     search = _Search(float("inf"), budget, k, rank)
     best_covol: float | None = None
-    ties: dict[IntRows, float] = {}
+    band: list[tuple[float, list]] = []
     for rows in _candidates(level, rank, scale, search):
-        canon = canonical_form(to_lattice(rows))
-        covol = subgroup_covolume(lattice, canon)
+        # the exact covolume does not depend on the generators, so only the
+        # candidates left in the final tie band are canonicalised
+        rows = to_lattice(rows)
+        covol = subgroup_covolume(lattice, rows)
         if best_covol is None or covol < best_covol * (1 - TIE_RTOL):
             best_covol = covol
-            ties = {canon: covol}
+            band = [(covol, rows)]
         elif covol <= best_covol * (1 + TIE_RTOL):
-            ties.setdefault(canon, covol)
+            band.append((covol, rows))
             best_covol = min(best_covol, covol)
         if covol * SLACK < search.threshold:
             search.threshold = covol * SLACK
     if best_covol is None:
         raise AssertionError("subgroup search yielded no candidate")
-    finalists = [c for c, v in ties.items() if v <= best_covol * (1 + TIE_RTOL)]
+    ties = {canonical_form(rows): covol for covol, rows in band
+            if covol <= best_covol * (1 + TIE_RTOL)}
+    finalists = list(ties)
     if len(finalists) > 1:
         # resolve near-ties exactly on the integer Gram determinants; the
         # covolume is monotone in the determinant, so every exact minimizer

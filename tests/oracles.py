@@ -16,7 +16,7 @@ import numpy as np
 
 from latstab import Lattice, lll_reduce, subgroup_covolume
 from latstab.constants import hermite_upper
-from latstab.intmat import row_rank
+from latstab.intmat import bareiss_det, row_rank
 
 
 def box_coords(n: int, radius: int) -> np.ndarray:
@@ -32,6 +32,18 @@ def integer_gram_det(coords) -> Fraction:
     rows = [[Fraction(int(x)) for x in row] for row in coords]
     g = [[sum(a * b for a, b in zip(u, v)) for v in rows] for u in rows]
     return _fraction_det(g)
+
+
+def reference_gram_determinant(lattice: Lattice, coords) -> int:
+    """det(C G C^T) with G the exact Gram of the lattice's integer form M,
+    formed as C G and then (C G) C^T: the formula exact_gram_determinant
+    used before it took the Gram of the small vectors C M instead."""
+    gz = lattice._exact_gram
+    cg = [[sum(int(ci) * gz[i][j] for i, ci in enumerate(row))
+           for j in range(len(gz))] for row in coords]
+    small = [[sum(x * int(y) for x, y in zip(r, row)) for row in coords]
+             for r in cg]
+    return bareiss_det(small)
 
 
 def _fraction_det(rows) -> Fraction:

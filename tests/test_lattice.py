@@ -13,14 +13,16 @@ from latstab.errors import (
     DegenerateBasisError,
     LatticeParseError,
 )
-from latstab import reduction
+from latstab import reduction, subgroups
 from latstab.enumeration import (NodeCounter, _close_r2, close_vectors,
                                  short_vectors)
 from latstab.intmat import bareiss_det
-from latstab.lattice import _babai_caps, _babai_recentre
+from latstab.lattice import (_babai_caps, _babai_recentre, _freeze_rows,
+                             exact_gram_determinant)
 from latstab.reduction import Frame, gso, lll_rows
 from conftest import random_integer_rows, random_unimodular
-from oracles import box_coords, integer_gram_det, numpy_babai_distance
+from oracles import (box_coords, integer_gram_det, numpy_babai_distance,
+                     reference_gram_determinant)
 
 
 # -- construction and gram ---------------------------------------------------
@@ -476,6 +478,70 @@ def test_float_subgroup_covolume_ignores_the_generators():
             mixed = [[int(x) for x in row] for row in mix @ np.array(hnf)]
             assert ls.subgroup_covolume(lat, mixed) == \
                 ls.subgroup_covolume(lat, hnf)
+
+
+def _exact_form_only(int_rows, scale):
+    """A Lattice that carries only its exact form. The float constructor
+    rejects gm bases at p near 2^61 as ill-conditioned, and the exact
+    determinants read nothing but the exact form."""
+    lat = object.__new__(ls.Lattice)
+    vars(lat)["_exact"] = (_freeze_rows(int_rows), scale)
+    return lat
+
+
+def _determinant_lattices():
+    for n in range(2, 7):
+        for stream in range(3):
+            yield random_unimodular(n, seed=43, stream=stream)
+            yield random_unimodular(n, seed=43, stream=stream,
+                                    kind="gaussian_baseline")
+    for stream in range(4):
+        yield ls.sample_exact_2d(seed=43, stream=stream)
+
+
+def test_exact_gram_determinant_matches_the_reference_on_random_rows():
+    # k = 1..n random rows, dependent ones included, on gm lattices at
+    # p = 2^31 - 1 and at p = 2^61 - 1, dyadic gauss and exact_2d lattices
+    rng = np.random.default_rng(11)
+    p = 2**61 - 1
+    wide = [_exact_form_only(ls.gm_basis(n, p, rng.integers(1, p, size=n)),
+                             p ** (-1.0 / n))
+            for n in (2, 3, 4) for _ in range(3)]
+    dets = []
+    for lat in list(_determinant_lattices()) + wide:
+        n = len(lat._exact[0])
+        for k in range(1, n + 1):
+            for _ in range(4):
+                rows = rng.integers(-60, 61, size=(k, n)).tolist()
+                if k > 1 and rng.random() < 0.25:
+                    rows[-1] = [2 * x - y
+                                for x, y in zip(rows[0], rows[k - 2])]
+                dets.append(exact_gram_determinant(lat, rows))
+                assert dets[-1] == reference_gram_determinant(lat, rows)
+    assert 0 in dets and max(dets).bit_length() > 400
+
+
+def test_exact_gram_determinant_matches_the_reference_on_search_rows(
+        monkeypatch):
+    # every coordinate set the three drivers hand to subgroup_covolume
+    seen = []
+    real = subgroups.subgroup_covolume
+
+    def spy(lat, rows):
+        seen.append((lat, rows))
+        return real(lat, rows)
+
+    monkeypatch.setattr(subgroups, "subgroup_covolume", spy)
+    for lat in _determinant_lattices():
+        for k in range(1, lat.dim + 1):
+            subgroups.minimal_subgroup(lat, k)
+            subgroups.subgroups_within(lat, k, 1.2)
+            subgroups.exists_below(lat, k, 1.0)
+    assert len(seen) > 1_000
+    assert {len(rows) for _, rows in seen} == set(range(1, 7))
+    for lat, rows in seen:
+        assert exact_gram_determinant(lat, rows) == \
+            reference_gram_determinant(lat, rows)
 
 
 # -- text format -------------------------------------------------------------------

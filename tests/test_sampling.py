@@ -1,12 +1,14 @@
 """Samplers: exactness, determinism, and distributional checks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import latstab as ls
 from latstab.intmat import bareiss_det
+from latstab import sampling
 from latstab.rng import stream_generator
 from latstab.sampling import is_prime
 
@@ -30,6 +32,29 @@ def test_spec_validation():
     spec = ls.SamplerSpec(kind="goldstein_mayer", n=2, seed=1)
     assert spec.p == P_DEFAULT
     assert spec.with_stream(5).stream == 5
+
+
+def test_streams_reuse_the_primality_test_of_their_spec(monkeypatch):
+    # p is tested once, when the spec is built; drawing its streams, one by
+    # one or through a driver, runs no further Miller-Rabin test
+    calls = []
+    real = sampling.is_prime
+
+    def counting(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(sampling, "is_prime", counting)
+    spec = ls.SamplerSpec(kind="goldstein_mayer", n=3, seed=1)
+    streams = [spec.with_stream(s) for s in range(40)]
+    for s, stream in enumerate(streams):
+        assert ls.sample_lattice(stream).exact_basis == \
+            ls.sample_gm(3, P_DEFAULT, 1, s).exact_basis
+    ls.stability_mass(spec, 20)
+    assert calls == [P_DEFAULT]
+    assert streams[7] == replace(spec, stream=7) and spec.stream == 0
+    with pytest.raises(ValueError, match="not prime"):
+        ls.SamplerSpec(kind="goldstein_mayer", n=3, seed=1, p=P_DEFAULT - 2)
 
 
 def test_gm_basis_example():

@@ -31,23 +31,25 @@ def _direct_candidates(lat, k, bound):
 
 
 def test_candidates_are_primitive_by_construction(monkeypatch):
-    # every candidate of a fixed and of a shrinking threshold reaches the
-    # drivers' canonicalisation with saturation index 1, so its HNF is the
+    # every candidate of a fixed, a shrinking and an early-exit threshold
+    # reaches the drivers' exact covolume with saturation index 1 (in
+    # subgroups_within as its HNF, once per subgroup), so its HNF is the
     # canonical basis of its saturation; at k > n/2 on exact lattices those
     # candidates come back from the dual, and the direct search's are
     # checked as well
     indices = []
-    real = subgroups.canonical_form
+    real = subgroups.subgroup_covolume
 
-    def checked(rows):
+    def checked(lat, rows):
         indices.append(saturation_index(rows))
-        return real(rows)
+        return real(lat, rows)
 
-    monkeypatch.setattr(subgroups, "canonical_form", checked)
+    monkeypatch.setattr(subgroups, "subgroup_covolume", checked)
     for lat in _lattices(8):
         for k in range(1, lat.dim + 1):
             subgroups.subgroups_within(lat, k, 1.3)
             subgroups.minimal_subgroup(lat, k)
+            subgroups.exists_below(lat, k, 1.3)
             if 2 * k > lat.dim:
                 indices += [saturation_index(rows)
                             for rows in _direct_candidates(lat, k, 1.3)]
