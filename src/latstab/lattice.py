@@ -54,7 +54,9 @@ class Lattice:
             raise ValueError("ambient dimension must be at least 2")
         if not np.all(np.isfinite(b)):
             raise DegenerateBasisError("basis contains non-finite entries")
-        if np.linalg.cond(b) > CONDITION_LIMIT:
+        # the 2-norm condition number s[0] / s[-1], as np.linalg.cond takes it
+        s = np.linalg.svd(b, compute_uv=False).tolist()
+        if not s[-1] > 0 or s[0] / s[-1] > CONDITION_LIMIT:
             raise DegenerateBasisError(
                 "basis condition number exceeds 1e12; reduce or rescale first"
             )

@@ -206,6 +206,8 @@ def _execute(work, source, n_samples, workers):
     streams; work must pickle for it, as a partial of a module function."""
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     workers = min(workers, os.cpu_count() or 1)
     picklable = isinstance(source, SamplerSpec)
     if workers <= 1 or not picklable or n_samples < 2 * workers:

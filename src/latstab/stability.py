@@ -191,15 +191,19 @@ def covrad_lower(lattice: Lattice, trials: int, rng_seed: int,
     to about 3e7 from the origin): the true covering radius can only be
     larger.
 
-    A trial is searched only if it can raise the maximum: the search
-    returns sqrt(d2) with d2 <= r2, its squared radius around the Babai
-    point, so a trial with sqrt(r2) <= maximum cannot win and is skipped.
-    The caps sqrt(r2) of a block of trials come from one batched Babai pass
-    that is bitwise the per-trial one, so the same trials are searched, in
-    order, by closest_vector. Each point stays its own u @ basis product,
-    taken over a stack of 1 x n rows: a (block x n) @ basis matrix product
-    can round differently in the last bits and move the reported point.
-    The node budget is spent per searched trial.
+    The bound is the largest distance over the trials and its point is the
+    lowest-index trial at that distance. The search returns sqrt(d2) with
+    d2 <= r2, its squared radius around the Babai point, so sqrt(r2) caps a
+    trial's distance. The caps of a block of trials come from one batched
+    Babai pass that is bitwise the per-trial one; closest_vector then
+    searches the block's trials from the highest cap down, equal caps in
+    index order, and the block ends at the first trial that cannot win: a
+    cap below the maximum, or equal to it at a later index than the
+    maximum's trial (a maximum from an earlier block wins ties). Each point
+    stays its own u @ basis product, taken over a stack of 1 x n rows: a
+    (block x n) @ basis matrix product can round differently in the last
+    bits and move the reported point. The node budget is spent per searched
+    trial.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -211,13 +215,16 @@ def covrad_lower(lattice: Lattice, trials: int, rng_seed: int,
         draws = gen.random((min(_COVRAD_BLOCK, trials - start), lattice.dim))
         # a stack of 1 x n rows: each point is its own u @ basis product
         points = np.matmul(draws[:, None, :], basis)[:, 0, :]
-        for point, cap in zip(points, _babai_caps(lattice, points).tolist()):
-            if cap <= best:
-                continue
-            res = closest_vector(lattice, point, budget)
-            if res.distance > best:
-                best = res.distance
-                arg = tuple(float(v) for v in point)
+        caps = _babai_caps(lattice, points).tolist()
+        win = -1  # index of the block's maximum trial; -1: an earlier block's
+        for j in sorted(range(len(caps)), key=caps.__getitem__, reverse=True):
+            if caps[j] < best or (caps[j] == best and j > win):
+                break
+            dist = closest_vector(lattice, points[j], budget).distance
+            if dist > best or (dist == best and j < win):
+                best, win = dist, j
+        if win >= 0:
+            arg = tuple(float(v) for v in points[win])
     if best < 0:
         raise InvariantViolationError("covering radius scan found no point")
     return CovradEstimate(lower_bound=best, trials=trials, argmax_point=arg)

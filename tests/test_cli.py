@@ -139,6 +139,22 @@ def test_unrepresentable_reference_draws_nothing(tmp_path, draws):
     assert draws == []
 
 
+def test_worker_count_below_one_draws_nothing(tmp_path, draws):
+    out = tmp_path / "x.csv"
+    common = ["--n", "3", "--sampler", "gm", "--samples", "4", "--seed", "1"]
+    for bad in ("0", "-2"):
+        for argv in (["stability-mass", "--output", str(out)],
+                     ["verify-siegel", "--k", "1", "--t", "1.0",
+                      "--output", str(out)],
+                     ["alpha-quantiles", "--k", "1", "--output", str(out)],
+                     ["sample", "--output-dir", str(tmp_path / "lats")]):
+            assert run(argv + common + ["--workers", bad]) == 1
+    assert draws == []
+    # no output and no manifest records the invalid count
+    assert not out.exists()
+    assert list(tmp_path.rglob("*.json")) == []
+
+
 def test_covrad_budget_error_names_the_stream(tmp_path, monkeypatch, capsys):
     real = stability.covrad_lower
 
@@ -179,6 +195,15 @@ def test_covrad_golden_bytes(tmp_path):
     assert run(COVRAD_GOLDEN + ["--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "fda571edcc92882afa779dc6fd09390b61593e3c495bc40f5d3e66c6ac94ef05")
+
+
+def test_covrad_two_block_golden_bytes(tmp_path):
+    # 1,100 trials: a full screening block and a partial one per lattice
+    out = tmp_path / "c.csv"
+    assert run(["covrad", "--n", "3", "--sampler", "gm", "--lattices", "2",
+                "--trials", "1100", "--seed", "7", "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "91a04262a6fd244357f970074ceea6fec8352be9de1d052fadeba6fc264f4d51")
 
 
 def test_covrad_float_lattice_golden_bytes(tmp_path):

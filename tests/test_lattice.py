@@ -51,6 +51,11 @@ def test_gram_det_equals_covolume_squared():
 def test_rejects_degenerate():
     with pytest.raises(DegenerateBasisError):
         ls.Lattice.from_rows([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
+    # singular bases: the smallest singular value is zero or at rounding level
+    for rows in ([[0.0, 0.0], [0.0, 0.0]], [[1.0, 2.0], [2.0, 4.0]],
+                 [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]):
+        with pytest.raises(DegenerateBasisError):
+            ls.Lattice.from_rows(rows)
     with pytest.raises(ValueError):
         ls.Lattice.from_rows([[1.0]])
 

@@ -1,6 +1,7 @@
 """Per-rank minimal covolumes, profiles, the stability predicate, covrad."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -314,19 +315,60 @@ def test_covrad_skips_only_trials_that_cannot_win(monkeypatch):
         best, arg = _covrad_every_trial(lat, trials, rng_seed)
         assert (est.lower_bound, est.argmax_point, est.trials) == (
             best, arg, trials)
-        # the batched screen searches the trials, in the order, that the
-        # trial-by-trial screen searches
-        assert searched == _covrad_searched_one_at_a_time(lat, trials,
-                                                          rng_seed)
-    # the first trial is always searched, and the pruning stays effective
+        _assert_searched_by_cap(lat, trials, rng_seed, searched)
+    # the pruning stays effective
     for stream in range(3):
         lat = random_unimodular(5, seed=74, stream=stream)
         searched.clear()
         ls.covrad_lower(lat, 200, rng_seed=stream)
-        first = stream_generator(stream, 0).random(5) @ lat.basis
-        assert searched[0] == tuple(first)
         assert len(searched) <= 50
-        assert searched == _covrad_searched_one_at_a_time(lat, 200, stream)
+        _assert_searched_by_cap(lat, 200, stream, searched)
+
+
+def _assert_searched_by_cap(lattice, trials, rng_seed, searched):
+    """The searched targets are some of those a trial-by-trial screen
+    searches, visited from the largest Babai cap down."""
+    assert set(searched) <= set(
+        _covrad_searched_one_at_a_time(lattice, trials, rng_seed))
+    gen = stream_generator(rng_seed, 0)
+    caps = {}
+    for _ in range(trials):
+        point = gen.random(lattice.dim) @ lattice.basis
+        caps[tuple(point)] = math.sqrt(
+            _close_r2(_babai_recentre(lattice, point)[3]))
+    visited = [caps[t] for t in searched]
+    assert visited[0] == max(caps.values())
+    assert visited == sorted(visited, reverse=True)
+
+
+class _FixedDraws:
+    """Stands in for a stream generator: hands out the given uniforms."""
+
+    def __init__(self, rows):
+        self.rows = np.array(rows, dtype=float)
+        self.used = 0
+
+    def random(self, shape):
+        block = self.rows[self.used:self.used + shape[0]]
+        self.used += shape[0]
+        return block
+
+
+@pytest.mark.parametrize("block", [stability._COVRAD_BLOCK, 1])
+def test_covrad_tie_goes_to_the_lower_index(monkeypatch, block):
+    # on Z^2 both points have squared distance 0.3125 to the origin, exactly,
+    # and equal Babai caps; block 1 puts them in different blocks
+    monkeypatch.setattr(stability, "_COVRAD_BLOCK", block)
+    a, b, near = (0.25, 0.5), (0.5, 0.25), (0.125, 0.125)
+    z2 = ls.Lattice.identity(2)
+    assert stability._babai_caps(z2, np.array([a])).tolist() == (
+        stability._babai_caps(z2, np.array([b])).tolist())
+    for rows in ([a, b], [b, a], [near, a, b], [near, b, a]):
+        monkeypatch.setattr(stability, "stream_generator",
+                            lambda seed, stream, rows=rows: _FixedDraws(rows))
+        est = ls.covrad_lower(z2, len(rows), rng_seed=0)
+        assert est.lower_bound == math.sqrt(0.3125)
+        assert est.argmax_point == rows[-2]
 
 
 def test_covrad_screens_fixed_size_blocks(monkeypatch):
@@ -356,3 +398,48 @@ def test_covrad_screens_fixed_size_blocks(monkeypatch):
             assert sizes == blocks
             assert (est.lower_bound, est.argmax_point) == _covrad_every_trial(
                 lat, trials, rng_seed)
+
+
+def test_covrad_searches_by_cap_until_no_trial_can_win(monkeypatch):
+    # made-up caps and distances with many ties, each distance at most its
+    # cap; trial i is the point (i, 0) of Z^2
+    rng = np.random.default_rng(5)
+    case, searched = {}, []
+
+    def fake_cvp(lattice, target, budget):
+        searched.append(int(target[0]))
+        return SimpleNamespace(distance=case["dists"][int(target[0])])
+
+    monkeypatch.setattr(stability, "stream_generator", lambda seed, stream:
+                        _FixedDraws([(i, 0) for i in range(case["trials"])]))
+    monkeypatch.setattr(stability, "_babai_caps", lambda lattice, points:
+                        np.array([case["caps"][int(p[0])] for p in points],
+                                 dtype=float))
+    monkeypatch.setattr(stability, "closest_vector", fake_cvp)
+    for _ in range(300):
+        trials = int(rng.integers(1, 13))
+        caps = rng.integers(1, 5, trials).tolist()
+        dists = [float(rng.integers(0, c + 1)) for c in caps]
+        block = int(rng.integers(1, trials + 1))
+        case.update(trials=trials, caps=caps, dists=dists)
+        monkeypatch.setattr(stability, "_COVRAD_BLOCK", block)
+        searched.clear()
+        est = ls.covrad_lower(ls.Lattice.identity(2), trials, rng_seed=0)
+        assert est.lower_bound == max(dists)
+        assert est.argmax_point == (float(dists.index(max(dists))), 0.0)
+        # per block: a prefix of the trials by cap, highest first and equal
+        # caps in index order, each able to beat the maximum before it
+        # (equal at a lower index); the first trial left cannot
+        top, at = -1.0, -1
+        for start in range(0, trials, block):
+            order = sorted(range(start, min(start + block, trials)),
+                           key=caps.__getitem__, reverse=True)
+            got = [i for i in searched if start <= i < start + block]
+            assert got == order[:len(got)]
+            for i in got:
+                assert caps[i] > top or (caps[i] == top and i < at)
+                if dists[i] > top or (dists[i] == top and i < at):
+                    top, at = dists[i], i
+            if len(got) < len(order):
+                left = order[len(got)]
+                assert caps[left] < top or (caps[left] == top and left > at)
