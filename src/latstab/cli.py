@@ -346,11 +346,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _default_workers() -> int:
+    """LATSTAB_WORKERS, or 1 when it is unset or empty. The count is checked
+    where --workers is, so an invalid one is the same usage error."""
     env = os.environ.get("LATSTAB_WORKERS")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
+    if not env:
         return 1
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(
+            f"LATSTAB_WORKERS: invalid int value: {env!r}") from None
 
 
 def _add_sampler_args(sub, with_workers: bool = True) -> None:

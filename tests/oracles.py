@@ -16,7 +16,9 @@ import numpy as np
 
 from latstab import Lattice, lll_reduce, subgroup_covolume
 from latstab.constants import hermite_upper
-from latstab.intmat import bareiss_det, row_rank
+from latstab.errors import DegenerateBasisError
+from latstab.intmat import IntMatrix, bareiss_det, identity, row_rank
+from latstab.reduction import _ROW_PASSES, DEFAULT_DELTA, Frame, dot
 
 
 def box_coords(n: int, radius: int) -> np.ndarray:
@@ -195,3 +197,83 @@ def numpy_babai_distance(lattice: Lattice, target) -> float:
         coeffs[i] = round(c)
         resid = resid - coeffs[i] * b[i]
     return float(np.linalg.norm(resid))
+
+
+# -- full-width LLL ------------------------------------------------------------
+# reduction.lll_rows and reduction._gso_row as they were before LLL worked
+# only on the columns a stage can reach: every loop runs over whole rows.
+# reduction.lll_rows must return bitwise the same frame and transform.
+
+
+def _reference_gso_row(rows, i, mu, c, bstar) -> None:
+    """Fill row i of the Gram-Schmidt data from rows[i] and rows 0..i-1."""
+    bi = list(map(float, rows[i]))
+    for j in range(i):
+        cj = c[j]
+        mij = dot(rows[i], bstar[j]) / cj if cj > 0.0 else 0.0
+        mu[i][j] = mij
+        bj = bstar[j]
+        for t in range(len(bi)):
+            bi[t] -= mij * bj[t]
+    bstar[i] = bi
+    c[i] = dot(bi, bi)
+
+
+def reference_lll_rows(rows, delta: float = DEFAULT_DELTA
+                       ) -> tuple[Frame, IntMatrix]:
+    """LLL-reduce the given basis rows.
+
+    Returns (frame, transform): the Gram-Schmidt frame of the reduced rows
+    and the integer unimodular matrix U with frame.rows == U @ rows. Raises
+    DegenerateBasisError if the rows are numerically dependent or the
+    reduction fails to converge.
+    """
+    if not 0.25 < delta < 1.0:
+        raise ValueError(f"LLL delta must lie in (1/4, 1), got {delta}")
+    b = [list(map(float, r)) for r in rows]
+    m = len(b)
+    if not m:
+        raise DegenerateBasisError("no rows passed to LLL")
+    u: IntMatrix = identity(m)
+    mu = [[0.0] * m for _ in range(m)]
+    c = [0.0] * m
+    bstar: list[list[float]] = [[] for _ in range(m)]
+    max_swaps = 4096 + 256 * m * m
+    # stage k: rows 0..k-1 of the frame are current; row k is computed from
+    # b_k, and again from the size-reduced b_k while a |q| > 1 step may have
+    # left float error in mu[k] (Schnorr-Euchner)
+    k = 0
+    swaps = 0
+    while k < m:
+        for _ in range(_ROW_PASSES):
+            _reference_gso_row(b, k, mu, c, bstar)
+            if c[k] <= 0.0:
+                raise DegenerateBasisError("dependent rows passed to LLL")
+            bk, uk, muk = b[k], u[k], mu[k]
+            large = False
+            for j in range(k - 1, -1, -1):
+                q = round(muk[j])
+                if q:
+                    large = large or abs(q) > 1
+                    bj, uj, muj = b[j], u[j], mu[j]
+                    for t in range(len(bk)):
+                        bk[t] -= q * bj[t]
+                    for t in range(m):
+                        uk[t] -= q * uj[t]
+                    for t in range(j):
+                        muk[t] -= q * muj[t]
+                    muk[j] -= q
+            if not large:
+                break
+        else:
+            raise DegenerateBasisError("LLL size reduction failed to converge")
+        if k == 0 or c[k] >= (delta - mu[k][k - 1] ** 2) * c[k - 1]:
+            k += 1
+        else:
+            b[k - 1], b[k] = b[k], b[k - 1]
+            u[k - 1], u[k] = u[k], u[k - 1]
+            swaps += 1
+            if swaps > max_swaps:
+                raise DegenerateBasisError("LLL failed to converge")
+            k -= 1
+    return Frame(b, mu, c, bstar), u

@@ -155,6 +155,40 @@ def test_worker_count_below_one_draws_nothing(tmp_path, draws):
     assert list(tmp_path.rglob("*.json")) == []
 
 
+def test_invalid_worker_environment_is_a_usage_error(tmp_path, draws,
+                                                     monkeypatch, capsys):
+    # LATSTAB_WORKERS gives the --workers default, so an invalid value is
+    # rejected like the flag's, before any draw
+    out = tmp_path / "x.csv"
+    common = ["--n", "3", "--sampler", "gm", "--samples", "4", "--seed", "1"]
+    for bad, message in (("0", "workers must be at least 1, got 0"),
+                         ("-2", "workers must be at least 1, got -2"),
+                         ("abc", "LATSTAB_WORKERS: invalid int value: 'abc'"),
+                         ("2.5", "LATSTAB_WORKERS: invalid int value: '2.5'")):
+        monkeypatch.setenv("LATSTAB_WORKERS", bad)
+        for argv in (["stability-mass", "--output", str(out)],
+                     ["verify-siegel", "--k", "1", "--t", "1.0",
+                      "--output", str(out)],
+                     ["alpha-quantiles", "--k", "1", "--output", str(out)],
+                     ["sample", "--output-dir", str(tmp_path / "lats")]):
+            capsys.readouterr()
+            assert run(argv + common) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+        # the flag's own error for the same count reads the same
+        if bad.lstrip("-").isdigit():
+            monkeypatch.delenv("LATSTAB_WORKERS")
+            assert run(["stability-mass", "--output", str(out)] + common
+                       + ["--workers", bad]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+    assert draws == []
+    assert not out.exists()
+    assert list(tmp_path.rglob("*.json")) == []
+    # an explicit --workers still overrides the variable
+    monkeypatch.setenv("LATSTAB_WORKERS", "abc")
+    assert run(["stability-mass", "--output", str(out)] + common
+               + ["--workers", "1"]) == 0
+
+
 def test_covrad_budget_error_names_the_stream(tmp_path, monkeypatch, capsys):
     real = stability.covrad_lower
 

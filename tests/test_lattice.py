@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,7 @@ from latstab.lattice import (_babai_caps, _babai_recentre, _freeze_rows,
 from latstab.reduction import Frame, gso, lll_rows
 from conftest import random_integer_rows, random_unimodular
 from oracles import (box_coords, integer_gram_det, numpy_babai_distance,
-                     reference_gram_determinant)
+                     reference_gram_determinant, reference_lll_rows)
 
 
 # -- construction and gram ---------------------------------------------------
@@ -283,6 +284,66 @@ def test_lll_output_is_reduced():
             assert max(abs(x) for x in mu[i][:i]) <= 0.5 + 1e-9, spec
             lovasz = (reduction.DEFAULT_DELTA - mu[i][i - 1] ** 2) * c[i - 1]
             assert c[i] >= lovasz * (1 - 1e-9), spec
+
+
+def _lll_bits(rows, lll):
+    try:
+        frame, u = lll([list(r) for r in rows])
+    except DegenerateBasisError as exc:
+        return str(exc)
+    hexed = [[x.hex() for x in r] for r in (*frame.rows, *frame.mu,
+                                            frame.c, *frame.bstar)]
+    return hexed, [list(r) for r in u]
+
+
+def _captured_lll_inputs(monkeypatch):
+    # the rows that the dual frame and the projections below each level of
+    # the subgroup search hand to LLL, by caller
+    seen = {}
+
+    def capture(rows, *args):
+        caller = sys._getframe(1).f_code.co_name
+        seen.setdefault(caller, []).append([list(r) for r in rows])
+        return lll_rows(rows, *args)
+
+    monkeypatch.setattr("latstab.lattice.lll_rows", capture)
+    monkeypatch.setattr(subgroups, "lll_rows", capture)
+    for n in range(3, 7):
+        for stream in range(3):
+            lat = random_unimodular(n, seed=91, stream=stream)
+            for k in range(1, n):
+                subgroups.minimal_subgroup(lat, k)
+                subgroups.subgroups_within(lat, k, 1.3)
+    monkeypatch.undo()
+    return seen
+
+
+def test_lll_rows_is_bitwise_the_full_width_reference(monkeypatch):
+    # LLL skips the columns past the stage width and the transform columns
+    # past the highest stage; every skipped step is +0.0 arithmetic, so
+    # frame and transform are bitwise the full-width reduction's
+    inputs = [ls.sample_lattice(spec)._rows for spec in _lll_inputs()]
+    for n in range(2, 9):
+        for p in (2**31 - 1, 1000000007):
+            c = np.random.default_rng(n).integers(1, p, size=n).tolist()
+            for pivot in range(1, n):
+                # c_0 = ... = c_{pivot-1} = 0 mod p: the pivot is not column 0
+                rows = ls.gm_basis(n, p, [0] * pivot + c[pivot:])
+                s = p ** (-1.0 / n)
+                inputs += [rows, [[x * s for x in r] for r in rows]]
+            rows = [[x * p ** (-1.0 / n) for x in r]
+                    for r in ls.gm_basis(n, p, c)]
+            for i in (0, n - 2):
+                signed = [list(r) for r in rows]
+                signed[i][-1] = -0.0
+                assert reduction._width(signed[i]) == n
+                inputs.append(signed)
+    inputs += [ls.sample_exact_2d(seed=29, stream=s)._rows for s in range(40)]
+    captured = _captured_lll_inputs(monkeypatch)
+    assert len(captured["_dual_frame"]) == 12
+    assert len(captured["_project"]) > 500
+    for rows in inputs + captured["_dual_frame"] + captured["_project"]:
+        assert _lll_bits(rows, lll_rows) == _lll_bits(rows, reference_lll_rows)
 
 
 # -- CVP -----------------------------------------------------------------------
