@@ -214,40 +214,30 @@ def _run_stability_mass(params: dict) -> list[Path]:
 def _run_verify_siegel(params: dict) -> list[Path]:
     if params["samples"] < 2:
         raise ValueError("samples must be at least 2")
-    t_list = params["t"]
-    if not t_list:
+    if not params["t"]:
         raise ValueError("at least one --t threshold is required")
     spec = _spec_from_params(params)
-    n, k = params["n"], params["k"]
-    header = ["experiment", "n", "k", "t", "sampler", "p", "seed",
-              "n_samples", "mean", "stderr", "reference", "ratio",
-              "ratio_stderr"]
-    rows = []
-    if len(t_list) == 1:
-        ref = siegel._reference(n, k, t_list[0])
+    report = siegel.normalization_ratio(spec, params["k"], params["t"],
+                                        params["samples"],
+                                        workers=params["workers"])
+    if len(report.rows) == 1:
         print("warning: single threshold given; the constancy check "
               "across t is skipped")
-        est = siegel.mc_integral(spec, k, t_list[0], params["samples"],
-                                 workers=params["workers"])
-        rows.append(("verify_siegel", n, k, t_list[0], spec.label(), spec.p,
-                     spec.seed, est.n_samples, est.mean, est.stderr, ref,
-                     est.mean / ref, est.stderr / ref))
     else:
-        report = siegel.normalization_ratio(spec, k, t_list,
-                                            params["samples"],
-                                            workers=params["workers"])
-        for r in report.rows:
-            rows.append(("verify_siegel", n, k, r.t, spec.label(), spec.p,
-                         spec.seed, params["samples"], r.mean, r.stderr,
-                         r.reference, r.ratio, r.ratio_stderr))
         verdict = "consistent" if report.scaling_consistent else "INCONSISTENT"
         print(f"t-scaling across thresholds: {verdict} "
               f"(max pairwise z = {_fmt(report.max_pairwise_z)})")
+    header = ["experiment", "n", "k", "t", "sampler", "p", "seed",
+              "n_samples", "mean", "stderr", "reference", "ratio",
+              "ratio_stderr"]
     out = Path(params["output"])
-    _write_csv(out, header, rows)
-    for r in rows:
-        print(f"t={_fmt(r[3])}: mean={_fmt(r[8])} +- {_fmt(r[9])} "
-              f"ratio={_fmt(r[11])} +- {_fmt(r[12])}")
+    _write_csv(out, header, [
+        ("verify_siegel", report.n, report.k, r.t, spec.label(), spec.p,
+         spec.seed, report.n_samples, r.mean, r.stderr, r.reference, r.ratio,
+         r.ratio_stderr) for r in report.rows])
+    for r in report.rows:
+        print(f"t={_fmt(r.t)}: mean={_fmt(r.mean)} +- {_fmt(r.stderr)} "
+              f"ratio={_fmt(r.ratio)} +- {_fmt(r.ratio_stderr)}")
     return [out]
 
 

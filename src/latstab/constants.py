@@ -115,6 +115,12 @@ class _PrefixCache:
 _PREFIX = _PrefixCache()
 
 
+def check_rank(n: int, k: int) -> None:
+    """Reject a subgroup rank k outside [1, n-1]."""
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"k must lie in [1, n-1], got k={k}, n={n}")
+
+
 def b_constant_log(n: int, k: int) -> float:
     """log B(n, k) where B(n, k) = prod R(j) over j <= n divided by the
     products over j <= k and j <= n-k.
@@ -122,8 +128,7 @@ def b_constant_log(n: int, k: int) -> float:
     Evaluated as prefix(n) - (prefix(k) + prefix(n-k)), which is bitwise
     symmetric under k <-> n-k.
     """
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must lie in [1, n-1], got k={k}, n={n}")
+    check_rank(n, k)
     return _PREFIX.prefix(n) - (_PREFIX.prefix(k) + _PREFIX.prefix(n - k))
 
 
@@ -138,8 +143,7 @@ def t_threshold(n: int, k: int, c1: float) -> float:
     """Threshold t(n, k) = (n / C1)^((n-k) / (2n))."""
     if not c1 > 0:
         raise ValueError("C1 must be positive")
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must lie in [1, n-1], got k={k}, n={n}")
+    check_rank(n, k)
     return (n / c1) ** ((n - k) / (2.0 * n))
 
 
@@ -207,8 +211,7 @@ def rankin_row(n: int, k: int) -> RankinRow:
     classically known. Covers k = 1 and k = n-1 for n <= 8 (duality) and
     the exactly known (4, 2) case.
     """
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must lie in [1, n-1], got k={k}, n={n}")
+    check_rank(n, k)
     gamma = None
     if k in (1, n - 1) and n <= 8:
         gamma = HERMITE_GAMMA[n]

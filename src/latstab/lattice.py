@@ -178,8 +178,8 @@ class Lattice:
             adj = [[-x for x in row] for row in adj]
         return _freeze_rows(adj)
 
-    def is_unimodular(self, rtol: float = COVOLUME_RTOL) -> bool:
-        return abs(self.covolume - 1.0) <= rtol
+    def is_unimodular(self) -> bool:
+        return abs(self.covolume - 1.0) <= COVOLUME_RTOL
 
 
 @dataclass(frozen=True)

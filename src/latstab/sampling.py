@@ -140,7 +140,7 @@ def sample_gm(n: int, p: int, seed: int, stream: int) -> Lattice:
     lattice = Lattice.from_exact(
         gm_basis(n, p, c), p ** (-1.0 / n), provenance=f"gm(p={p})"
     )
-    if abs(lattice.covolume - 1.0) > 1e-9:
+    if not lattice.is_unimodular():
         raise InvariantViolationError("sampler produced a non-unimodular lattice")
     return lattice
 

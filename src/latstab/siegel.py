@@ -23,12 +23,11 @@ from functools import partial
 
 import numpy as np
 
-from . import constants, subgroups
+from . import constants, stability, subgroups
 from .enumeration import DEFAULT_BUDGET, TREE_SLACK
 from .errors import BudgetExceededError, InvariantViolationError
 from .lattice import Lattice, Sublattice
 from .sampling import SamplerSpec, sample_lattice
-from .stability import STABILITY_TOL
 
 QUANTILE_PERCENTS = (1, 5, 25, 50, 75, 95, 99)
 
@@ -121,10 +120,7 @@ def siegel_transform_count(lattice: Lattice, k: int, t: float,
                            budget: int = DEFAULT_BUDGET) -> TensorCount:
     """Number of signed pure tensors of norm at most t coming from primitive
     rank-k subgroups; always even since both signs are counted."""
-    if not 1 <= k <= lattice.dim - 1:
-        raise ValueError(
-            f"k must lie in [1, n-1] = [1, {lattice.dim - 1}], got {k}"
-        )
+    constants.check_rank(lattice.dim, k)
     _check_threshold(t)
     found = subgroups.subgroups_within(lattice, k, t, budget)
     subs = tuple(
@@ -191,13 +187,13 @@ def _counts(k, ts, budget, _stream, lat):
 
 
 def _stable_ranks(budget, _stream, lat):
-    return [not subgroups.exists_below(
-                lat, k, (1.0 - STABILITY_TOL) ** k, budget)
+    return [not subgroups.exists_below(lat, k, stability._stable_bound(k),
+                                       budget)
             for k in range(1, lat.dim)]
 
 
 def _alpha_value(k, budget, _stream, lat):
-    return subgroups.minimal_subgroup(lat, k, budget)[0] ** (1.0 / k)
+    return stability.alpha(lat, k, budget)[0]
 
 
 def _execute(work, source, n_samples, workers):
@@ -368,14 +364,17 @@ def normalization_ratio(source, k: int, t_list, n_samples: int,
                         budget: int = DEFAULT_BUDGET) -> NormalizationReport:
     """Measured count means against the closed-form value B(n,k) t^n / n.
 
-    The per-threshold ratio is reported; constancy of the ratio across the
-    thresholds is asserted via pairwise z-scores (shared lattice streams
-    make the comparison conservative). Whether the constant itself equals 1
-    is only known in closed form at n = 2.
+    The per-threshold ratio is reported for one or more distinct
+    thresholds; constancy of the ratio across them is asserted via pairwise
+    z-scores (shared lattice streams make the comparison conservative),
+    and a single threshold has max_pairwise_z = 0. Whether the constant
+    itself equals 1 is only known in closed form at n = 2.
     """
     ts = sorted(float(t) for t in t_list)
-    if len(ts) < 2:
-        raise ValueError("need at least two thresholds")
+    if not ts:
+        raise ValueError("need at least one threshold")
+    if any(a == b for a, b in zip(ts, ts[1:])):
+        raise ValueError(f"each threshold may be given once, got {ts}")
     n_dim, lattices = _source_dim(source)
     refs = [_reference(n_dim, k, t) for t in ts]
     counts = _count_rows(lattices, k, ts, n_samples, workers, budget)

@@ -10,9 +10,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import subgroups
+from .constants import check_rank
 from .enumeration import DEFAULT_BUDGET
 from .errors import InvariantViolationError
-from .lattice import Lattice, Sublattice, _babai_caps, closest_vector
+from .lattice import (COVOLUME_RTOL, Lattice, Sublattice, _babai_caps,
+                      closest_vector)
 from .rng import stream_generator
 
 # band inside which a minimal covolume of 1 still counts as stable
@@ -62,9 +64,16 @@ class CovradEstimate:
 def _require_unimodular(lattice: Lattice) -> None:
     if not lattice.is_unimodular():
         raise ValueError(
-            f"lattice covolume {lattice.covolume!r} is not 1 within 1e-9; "
+            f"lattice covolume {lattice.covolume!r} is not 1 within "
+            f"{COVOLUME_RTOL!r}; "
             "rescale before computing stability invariants"
         )
+
+
+def _stable_bound(k: int) -> float:
+    """The covolume every rank-k subgroup of a stable lattice reaches: 1,
+    less the stability band. Every stability decision compares with it."""
+    return (1.0 - STABILITY_TOL) ** k
 
 
 def min_covolume(lattice: Lattice, k: int,
@@ -81,10 +90,7 @@ def alpha(lattice: Lattice, k: int,
 
     The public contract restricts inputs to unimodular lattices.
     """
-    if not 1 <= k <= lattice.dim - 1:
-        raise ValueError(
-            f"k must lie in [1, n-1] = [1, {lattice.dim - 1}], got {k}"
-        )
+    check_rank(lattice.dim, k)
     _require_unimodular(lattice)
     covol, sub = min_covolume(lattice, k, budget)
     return covol ** (1.0 / k), sub
@@ -130,26 +136,21 @@ def alpha_profile(lattice: Lattice,
     """
     _require_unimodular(lattice)
     n = lattice.dim
-    alphas = []
-    minimizers = []
-    logs = []
-    for k in range(1, n):
-        covol, sub = min_covolume(lattice, k, budget)
-        alphas.append(covol ** (1.0 / k))
-        minimizers.append(sub)
-        logs.append(math.log(covol))
-    points = [(0.0, 0.0)] + [(float(k), logs[k - 1]) for k in range(1, n)]
+    ranks = range(1, n)
+    covols, minimizers = zip(*(min_covolume(lattice, k, budget)
+                               for k in ranks))
+    points = [(0.0, 0.0)]
+    points += [(float(k), math.log(c)) for k, c in zip(ranks, covols)]
     points.append((float(n), 0.0))
-    marked = _mark_hull(points)
     polygon = tuple(
-        PolygonPoint(k=int(x), y=y, on_hull=on) for x, y, on in marked
+        PolygonPoint(k=int(x), y=y, on_hull=on)
+        for x, y, on in _mark_hull(points)
     )
-    stable = min(alphas) >= 1.0 - STABILITY_TOL
     return AlphaProfile(
-        alphas=tuple(alphas),
-        minimizers=tuple(minimizers),
+        alphas=tuple(c ** (1.0 / k) for k, c in zip(ranks, covols)),
+        minimizers=minimizers,
         polygon=polygon,
-        stable=stable,
+        stable=all(c >= _stable_bound(k) for k, c in zip(ranks, covols)),
     )
 
 
@@ -158,8 +159,7 @@ def is_stable(lattice: Lattice, budget: int = DEFAULT_BUDGET) -> bool:
     stability band). Early-exits as soon as a witness subgroup is found."""
     _require_unimodular(lattice)
     for k in range(1, lattice.dim):
-        bound = (1.0 - STABILITY_TOL) ** k
-        if subgroups.exists_below(lattice, k, bound, budget):
+        if subgroups.exists_below(lattice, k, _stable_bound(k), budget):
             return False
     return True
 
@@ -173,10 +173,7 @@ def in_s_k(lattice: Lattice, k: int, t: float,
     """
     if not t > 0:
         raise ValueError("threshold t must be positive")
-    if not 1 <= k <= lattice.dim - 1:
-        raise ValueError(
-            f"k must lie in [1, n-1] = [1, {lattice.dim - 1}], got {k}"
-        )
+    check_rank(lattice.dim, k)
     _require_unimodular(lattice)
     return not subgroups.exists_below(lattice, k, t**k, budget)
 

@@ -88,6 +88,8 @@ def _route(lattice: Lattice, k: int):
     the drivers evaluate every covolume.
     """
     n = lattice.dim
+    if not 1 <= k <= n:
+        raise ValueError(f"rank {k} out of range for dimension {n}")
     if 2 * k <= n or k == n:
         return lattice._reduced, k, 1.0, _direct
     u = lattice._reduced[1]
@@ -166,8 +168,6 @@ def minimal_subgroup(lattice: Lattice, k: int,
     minimizer, which is primitive by construction; among exact covolume
     ties the canonical matrix preferred by _tie_key wins.
     """
-    if not 1 <= k <= lattice.dim:
-        raise ValueError(f"rank {k} out of range for dimension {lattice.dim}")
     level, rank, scale, to_lattice = _route(lattice, k)
     search = _Search(float("inf"), budget, k, rank)
     best_covol: float | None = None
@@ -208,11 +208,9 @@ def subgroups_within(lattice: Lattice, k: int, bound: float,
     Returns (covolume, canonical coords) pairs sorted by covolume then by
     coordinate matrix, deduplicated on the canonical form.
     """
-    if not 1 <= k <= lattice.dim:
-        raise ValueError(f"rank {k} out of range for dimension {lattice.dim}")
+    level, rank, scale, to_lattice = _route(lattice, k)
     if not bound > 0:
         raise ValueError("bound must be positive")
-    level, rank, scale, to_lattice = _route(lattice, k)
     search = _Search(bound, budget, k, rank)
     found: dict[IntRows, float] = {}
     for rows in _candidates(level, rank, scale, search):
@@ -227,23 +225,20 @@ def subgroups_within(lattice: Lattice, k: int, bound: float,
 
 
 def exists_below(lattice: Lattice, k: int, bound: float,
-                 budget: int = DEFAULT_BUDGET,
-                 inclusive: bool = False) -> bool:
-    """Whether some rank-k subgroup has covolume < bound (<= if inclusive).
+                 budget: int = DEFAULT_BUDGET) -> bool:
+    """Whether some rank-k subgroup has covolume strictly below bound; the
+    bound math.nextafter(b, math.inf) asks for covolume <= b.
 
     Early-exits on the first witness, so deciding instability is much
     cheaper than computing the minimum itself.
     """
-    if not 1 <= k <= lattice.dim:
-        raise ValueError(f"rank {k} out of range for dimension {lattice.dim}")
+    level, rank, scale, to_lattice = _route(lattice, k)
     if not bound > 0:
         return False
-    level, rank, scale, to_lattice = _route(lattice, k)
     search = _Search(bound, budget, k, rank)
     # every primitive subgroup below the threshold is a candidate of its own
     # (completeness), so a candidate's own exact covolume decides
     for rows in _candidates(level, rank, scale, search):
-        covol = subgroup_covolume(lattice, to_lattice(rows))
-        if covol < bound or (inclusive and covol == bound):
+        if subgroup_covolume(lattice, to_lattice(rows)) < bound:
             return True
     return False

@@ -139,6 +139,19 @@ def test_unrepresentable_reference_draws_nothing(tmp_path, draws):
     assert draws == []
 
 
+def test_repeated_threshold_draws_nothing(tmp_path, draws, capsys):
+    # a threshold given twice would pair with itself at z = 0
+    out = tmp_path / "x.csv"
+    common = ["--n", "2", "--k", "1", "--sampler", "exact2d", "--samples",
+              "4", "--seed", "1", "--workers", "1", "--output", str(out)]
+    for ts in (["--t", "1.0", "--t", "1.0"], ["--t", "1", "--t", "1.0"]):
+        assert run(["verify-siegel"] + ts + common) == 1
+        assert capsys.readouterr().err == (
+            "error: each threshold may be given once, got [1.0, 1.0]\n")
+    assert draws == []
+    assert not out.exists()
+
+
 def test_worker_count_below_one_draws_nothing(tmp_path, draws):
     out = tmp_path / "x.csv"
     common = ["--n", "3", "--sampler", "gm", "--samples", "4", "--seed", "1"]

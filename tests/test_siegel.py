@@ -254,8 +254,16 @@ def test_normalization_ratio_n2():
     for row in rep.rows:
         assert abs(row.ratio - 1.0) <= 5 * row.ratio_stderr
     assert rep.scaling_consistent
+    # one threshold gives one row, the mc_integral estimate, and no z
+    single = ls.normalization_ratio(spec, 1, [1.0], 100)
+    (row,) = single.rows
+    est = ls.mc_integral(spec, 1, 1.0, 100)
+    assert (row.mean, row.stderr) == (est.mean, est.stderr)
+    assert (row.ratio, row.ratio_stderr) == (est.mean / row.reference,
+                                             est.stderr / row.reference)
+    assert single.max_pairwise_z == 0.0
     with pytest.raises(ValueError):
-        ls.normalization_ratio(spec, 1, [1.0], 100)
+        ls.normalization_ratio(spec, 1, [], 100)
 
 
 def test_normalization_ratio_draws_each_lattice_once(monkeypatch):

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import latstab as ls
-from latstab import stability
-from latstab.enumeration import _close_r2
+from latstab import siegel, stability
+from latstab.enumeration import DEFAULT_BUDGET, _close_r2
 from latstab.lattice import _babai_recentre
 from latstab.rng import stream_generator
 from latstab.stability import profile_csv_rows
@@ -97,13 +97,12 @@ def test_exists_below_against_oracle():
                 m = brute_force_min_covolume(lat, k)
                 covol, _ = ls.min_covolume(lat, k)
                 assert abs(covol - m) <= 1e-9 * m
-                # covol is the minimum as the search itself evaluates it
+                # covol is the minimum as the search itself evaluates it;
+                # the next float up asks for covolume <= bound
                 for bound in (m * (1 - 1e-6), m, covol, m * (1 + 1e-6)):
-                    for inclusive in (False, True):
-                        expected = (covol <= bound if inclusive
-                                    else covol < bound)
-                        assert exists_below(lat, k, bound,
-                                            inclusive=inclusive) == expected
+                    up = math.nextafter(bound, math.inf)
+                    assert exists_below(lat, k, bound) == (covol < bound)
+                    assert exists_below(lat, k, up) == (covol <= bound)
 
 
 def test_alpha_duality_identity():
@@ -207,6 +206,37 @@ def test_is_stable_examples(z3):
     assert ls.is_stable(z3)
     assert not ls.is_stable(diag_half())
     assert ls.is_stable(hexagonal())
+
+
+def test_profile_stability_uses_the_covolume_bound(monkeypatch):
+    # (1 - 1e-12)^3 exceeds this rank-3 covolume, but its cube root still
+    # reaches 1 - 1e-12: the rank-3 minimum lies below the stability bound
+    low = float.fromhex("0x1.fffffffff9672p-1")
+    assert low ** (1.0 / 3.0) >= 1.0 - stability.STABILITY_TOL
+    real = stability.min_covolume
+
+    def fake(lattice, k, budget):
+        covol, sub = real(lattice, k, budget)
+        return (low if k == 3 else covol), sub
+
+    monkeypatch.setattr(stability, "min_covolume", fake)
+    lat = ls.Lattice.identity(4)
+    assert stability.alpha_profile(lat).stable is False
+
+
+@pytest.mark.parametrize("kind", ["goldstein_mayer", "gaussian_baseline"])
+def test_every_stability_decision_agrees(kind):
+    # is_stable, the profile's stable field and stability-mass's per-rank
+    # decisions read one bound; 60 draws per n hold stable lattices too
+    seen = set()
+    for n in range(2, 7):
+        for stream in range(60):
+            lat = random_unimodular(n, seed=17, stream=stream, kind=kind)
+            decisions = {ls.is_stable(lat), ls.alpha_profile(lat).stable,
+                         all(siegel._stable_ranks(DEFAULT_BUDGET, 0, lat))}
+            assert len(decisions) == 1, (kind, n, stream)
+            seen |= decisions
+    assert seen == {False, True}
 
 
 def test_in_s_k_examples(z2):

@@ -2,6 +2,7 @@
 ranks above n/2 searched in the dual with the same results."""
 
 import hashlib
+import math
 import re
 import sys
 
@@ -204,9 +205,10 @@ def _routed_lattices(n):
 def _driver_results(lat, k):
     m, coords = subgroups.minimal_subgroup(lat, k)
     within = subgroups.subgroups_within(lat, k, 1.2 ** k)
-    decisions = [subgroups.exists_below(lat, k, bound, inclusive=inclusive)
+    # each bound strictly, then as covolume <= bound (the next float up)
+    decisions = [subgroups.exists_below(lat, k, b)
                  for bound in (m * (1 - 1e-6), m, m * (1 + 1e-6))
-                 for inclusive in (False, True)]
+                 for b in (bound, math.nextafter(bound, math.inf))]
     return m, coords, within, decisions
 
 
@@ -257,6 +259,19 @@ def test_low_ranks_build_no_dual_frame(monkeypatch):
         subgroups.minimal_subgroup(lat, k)
     assert "_dual_frame" not in vars(lat)
     assert {k for _, k in calls} <= {1, 2, 3}
+
+
+def test_rank_out_of_range_is_refused_before_the_bound():
+    # exists_below answers False for a bound <= 0, but only for a valid rank
+    for n in (3, 6):
+        lat = random_unimodular(n, seed=53, stream=0)
+        for k in (0, n + 1):
+            for search in (subgroups.exists_below, subgroups.subgroups_within):
+                with pytest.raises(ValueError, match="out of range"):
+                    search(lat, k, 0.0)
+            with pytest.raises(ValueError, match="out of range"):
+                subgroups.minimal_subgroup(lat, k)
+        assert subgroups.exists_below(lat, n, 0.0) is False
 
 
 def test_budget_error_names_the_search():

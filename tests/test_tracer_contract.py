@@ -1,28 +1,35 @@
 """The benchmark's layer tracer patches latstab by name; every name it
 lists must exist, or a traced benchmark run aborts, and a traced command
-must still see the layers it counts."""
+must still see the layers it counts. The benchmark's correctness checks
+recompute each command's output through public entry points, which must
+keep agreeing with the CLI."""
 
 import importlib
 import inspect
 import sys
 from functools import cached_property
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-LAYERTRACE = Path(__file__).resolve().parents[1] / "bench" / "layertrace.py"
+import latstab
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _layertrace():
+def _bench_module(name):
     # executed from its source text: no bytecode is written next to it
-    namespace = {"__name__": "layertrace"}
-    exec(compile(LAYERTRACE.read_text(), str(LAYERTRACE), "exec"), namespace)
+    path = BENCH / f"{name}.py"
+    namespace = {"__name__": name}
+    exec(compile(path.read_text(), str(path), "exec"), namespace)
     return namespace
 
 
 def _traced_names():
+    traced = _bench_module("layertrace")["TRACED"]
     return [(modname, member)
-            for modname, members in _layertrace()["TRACED"].items()
+            for modname, members in traced.items()
             for member in members]
 
 
@@ -68,7 +75,7 @@ def test_traced_commands_see_every_layer(tmp_path):
     modules = [m for name, m in sorted(sys.modules.items())
                if name == "latstab" or name.startswith("latstab.")]
     before = _bindings(modules)
-    layertrace = _layertrace()
+    layertrace = _bench_module("layertrace")
     tracer = layertrace["Tracer"](modules)
     out = str(tmp_path / "out.csv")
     with tracer:
@@ -84,3 +91,41 @@ def test_traced_commands_see_every_layer(tmp_path):
     after = _bindings(modules)
     assert [key for key, value in before.items()
             if after.get(key) is not value] == []
+
+
+# one small batch of each benchmark workload's command: (command, the
+# workload-style arguments, the flag that sets the number of lattices, it)
+CHECKED_COMMANDS = [
+    ("verify-siegel", ("--n", "2", "--k", "1", "--sampler", "exact2d",
+                       "--t", "0.8", "--t", "1.0", "--t", "1.2"),
+     "--samples", 30),
+    ("verify-siegel", ("--n", "3", "--k", "2", "--sampler", "gm",
+                       "--t", "1.0"), "--samples", 10),
+    ("stability-mass", ("--n", "4", "--sampler", "gm"), "--samples", 10),
+    ("alpha-quantiles", ("--n", "5", "--k", "3", "--sampler", "gm"),
+     "--samples", 5),
+    ("covrad", ("--n", "3", "--sampler", "gm", "--trials", "20"),
+     "--lattices", 3),
+]
+
+
+@pytest.mark.parametrize("command, args, size_flag, size", CHECKED_COMMANDS,
+                         ids=["siegel-3t", "siegel-1t", "mass", "alpha",
+                              "covrad"])
+def test_benchmark_checks_accept_the_cli_output(tmp_path, command, args,
+                                                 size_flag, size):
+    cli = importlib.import_module("latstab.cli")
+    checks = _bench_module("checks")
+    out = tmp_path / "out.csv"
+    argv = [command, *args, size_flag, str(size), "--seed", "3",
+            "--output", str(out)]
+    if command != "covrad":
+        argv += ["--workers", "1"]
+    assert cli.main(argv) == 0
+    text = out.read_text(encoding="ascii")
+    workload = SimpleNamespace(command=command, args=args)
+    flags = dict(zip(args[::2], args[1::2]))
+    spec = latstab.SamplerSpec(kind=cli.SAMPLER_NAMES[flags["--sampler"]],
+                               n=int(flags["--n"]), seed=3)
+    assert checks["sanity"](latstab, workload, text, size) == []
+    assert checks["recompute"](latstab, spec, workload, text, size) == []
