@@ -23,7 +23,8 @@ from . import intmat
 from .enumeration import (DEFAULT_BUDGET, NodeCounter, _close_r2, close_vectors,
                           short_vectors)
 from .errors import DegenerateBasisError, LatticeParseError
-from .reduction import DEFAULT_DELTA, Frame, lll_rows, nearest_plane
+from .reduction import (DEFAULT_DELTA, Frame, lll_integral, lll_rows,
+                        nearest_plane)
 
 COVOLUME_RTOL = 1e-9
 EXACT_FORM_RTOL = 1e-12
@@ -142,7 +143,21 @@ class Lattice:
     @cached_property
     def _reduced(self) -> tuple[Frame, IntRows]:
         """Gram-Schmidt frame of the LLL-reduced basis rows R, and the
-        transform u with R = u @ basis."""
+        transform u with R = u @ basis. A declared exact form (M, s) is
+        reduced in integers, and float LLL only size-reduces s * (U M): on
+        the raw gm basis (condition number about p) it left norms off by up
+        to 1.5e-7 relative. A float basis keeps the float LLL, _cvp_frame."""
+        if self.exact_basis is None:
+            return self._cvp_frame
+        r, u = lll_integral(self.exact_basis)
+        frame, u2 = lll_rows([[self.scale * x for x in row] for row in r])
+        return frame, _freeze_rows(intmat.matmul(u2, u))
+
+    @cached_property
+    def _cvp_frame(self) -> tuple[Frame, IntRows]:
+        """_reduced by float LLL of the basis rows, the CVP path's frame. A
+        declared form keeps it beside _reduced, since covrad's printed
+        distances depend on its bits and its pinned outputs were taken on it."""
         frame, u = lll_rows(self._rows, DEFAULT_DELTA)
         return frame, _freeze_rows(u)
 
@@ -360,7 +375,7 @@ def _babai_recentre(lattice: Lattice, target):
     t = np.asarray(target, dtype=float).ravel().tolist()
     if len(t) != lattice.dim:
         raise ValueError("target dimension mismatch")
-    frame, _ = lattice._reduced
+    frame, _ = lattice._cvp_frame
     seed = nearest_plane(frame, t)
     shift = [sum(map(mul, seed, col)) for col in zip(*frame.rows)]
     t0 = [tv - sv for tv, sv in zip(t, shift)]
@@ -377,7 +392,7 @@ def _babai_caps(lattice: Lattice, points: np.ndarray) -> np.ndarray:
     which can flip only the sign of a zero residual entry and so no later
     decision.
     """
-    frame, _ = lattice._reduced
+    frame, _ = lattice._cvp_frame
     rows, _, c, bstar = frame
     r = list(points.T)
     seed = [None] * len(rows)
@@ -401,7 +416,7 @@ def closest_vector(lattice: Lattice, target,
     """
     t, seed, t0, radius = _babai_recentre(lattice, target)
     n = lattice.dim
-    frame, u = lattice._reduced
+    frame, u = lattice._cvp_frame
     rows = frame.rows
     cands = close_vectors(frame, t0, radius, counter=NodeCounter(budget))
     if not cands:

@@ -1,9 +1,10 @@
-"""Floating-point Gram-Schmidt and LLL reduction for small bases.
+"""Gram-Schmidt and LLL reduction for small bases, in floats and in integers.
 
-The engine works on plain lists of floats; at the dimensions this package
-targets (n <= 8 or so) that is faster than numpy row operations. The integer
-change-of-basis matrix is accumulated alongside the float rows so callers
-can replay the reduction on exact integer data.
+The float engine works on plain lists of floats; at the dimensions this
+package targets (n <= 8 or so) that is faster than numpy row operations. The
+integer change-of-basis matrix is accumulated alongside the float rows so
+callers can replay the reduction on exact integer data. lll_integral reduces
+integer rows exactly, and faster on an ill-conditioned Goldstein-Mayer basis.
 
 LLL computes one Gram-Schmidt row per stage (Schnorr and Euchner, Math.
 Programming 66, 1994), not the whole frame after each swap. Cohen's swap
@@ -30,7 +31,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import DegenerateBasisError
-from .intmat import IntMatrix, identity
+from .intmat import IntMatrix, identity, matmul
 
 DEFAULT_DELTA = 0.99
 _ROW_PASSES = 32  # Gram-Schmidt passes over one row in one LLL stage
@@ -154,6 +155,70 @@ def lll_rows(rows, delta: float = DEFAULT_DELTA) -> tuple[Frame, IntMatrix]:
                 raise DegenerateBasisError("LLL failed to converge")
             k -= 1
     return Frame(b, mu, c, bstar), u
+
+
+def lll_integral(rows) -> tuple[IntMatrix, IntMatrix]:
+    """(R, U) with R == U @ rows LLL-reduced exactly: |mu| <= 1/2 and
+    Lovasz' condition at delta = 99/100, the value of DEFAULT_DELTA.
+
+    Cohen's integral LLL (A Course in Computational Algebraic Number
+    Theory, Alg. 2.6.7) on the Gram determinants d[i] of the leading i rows
+    and lam[k][j] = d[j + 1] mu_kj; R is formed once, as U @ rows. Raises
+    DegenerateBasisError on dependent rows.
+    """
+    a = [list(map(int, r)) for r in rows]
+    m = len(a)
+    u: IntMatrix = identity(m)
+    d = [1] * (m + 1)
+    lam = [[0] * m for _ in range(m)]
+
+    def reduce(k: int, j: int) -> None:
+        # u_k -= round(mu_kj) u_j if |mu_kj| > 1/2 (u is 0 past column top)
+        uk, uj, lk, lj = u[k], u[j], lam[k], lam[j]
+        dj = d[j + 1]
+        if 2 * abs(lk[j]) <= dj:
+            return
+        q = (2 * lk[j] + dj) // (2 * dj)
+        for t in range(top + 1):
+            uk[t] -= q * uj[t]
+        for t in range(j):
+            lk[t] -= q * lj[t]
+        lk[j] -= q * dj
+
+    k, top = 0, -1
+    while k < m:
+        lk = lam[k]
+        if k > top:  # row k enters, still input row k: its Gram-Schmidt data
+            top = k
+            g = [sum(map(mul, r, a[k])) for r in a[:k + 1]]
+            for j in range(k + 1):
+                x = sum(map(mul, u[j], g))
+                for i in range(j):
+                    x = (d[i + 1] * x - lk[i] * lam[j][i]) // d[i]
+                lk[j] = x
+            if not x:
+                raise DegenerateBasisError("dependent rows passed to LLL")
+            d[k + 1] = x
+        if k:
+            reduce(k, k - 1)
+        dk, dk1, lkk = d[k + 1], d[k], lk[k - 1]
+        if k and 100 * (dk * d[k - 1] + lkk * lkk) < 99 * dk1 * dk1:
+            # swap rows k - 1 and k; lam[k][k - 1] keeps its value, and no
+            # lam[i][j] with j >= i is read
+            u[k - 1], u[k] = u[k], u[k - 1]
+            lam[k - 1], lam[k] = lk, lam[k - 1]
+            lam[k][k - 1] = lkk
+            d[k] = (d[k - 1] * dk + lkk * lkk) // dk1
+            for li in lam[k + 1:top + 1]:
+                t = li[k]
+                li[k] = (dk * li[k - 1] - lkk * t) // dk1
+                li[k - 1] = (d[k] * t + lkk * li[k]) // dk
+            k = max(k - 1, 1)
+        else:
+            for j in range(k - 2, -1, -1):
+                reduce(k, j)
+            k += 1
+    return matmul(u, a), u
 
 
 def nearest_plane(frame: Frame, target) -> list[int]:

@@ -48,6 +48,23 @@ def reference_gram_determinant(lattice: Lattice, coords) -> int:
     return bareiss_det(small)
 
 
+def fraction_gso(rows) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """Exact Gram-Schmidt data (mu, c) of integer rows, c[i] = |b*_i|^2,
+    in Fraction arithmetic (independent of the package's LLL codes)."""
+    rows = [[Fraction(int(x)) for x in row] for row in rows]
+    mu = [[Fraction(0)] * len(rows) for _ in rows]
+    c: list[Fraction] = []
+    bstar: list[list[Fraction]] = []
+    for i, row in enumerate(rows):
+        b = row[:]
+        for j in range(i):
+            mu[i][j] = sum(x * y for x, y in zip(row, bstar[j])) / c[j]
+            b = [x - mu[i][j] * y for x, y in zip(b, bstar[j])]
+        bstar.append(b)
+        c.append(sum(x * x for x in b))
+    return mu, c
+
+
 def _fraction_det(rows) -> Fraction:
     a = [row[:] for row in rows]
     n = len(a)

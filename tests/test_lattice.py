@@ -16,14 +16,15 @@ from latstab.errors import (
 )
 from latstab import reduction, subgroups
 from latstab.enumeration import (NodeCounter, _close_r2, close_vectors,
-                                 short_vectors)
-from latstab.intmat import bareiss_det
+                                 primitive_half_vectors, short_vectors)
+from latstab.intmat import bareiss_det, identity, matmul
 from latstab.lattice import (_babai_caps, _babai_recentre, _freeze_rows,
                              exact_gram_determinant)
-from latstab.reduction import Frame, gso, lll_rows
+from latstab.reduction import Frame, gso, lll_integral, lll_rows
 from conftest import random_integer_rows, random_unimodular
-from oracles import (box_coords, integer_gram_det, numpy_babai_distance,
-                     reference_gram_determinant, reference_lll_rows)
+from oracles import (box_coords, fraction_gso, integer_gram_det,
+                     numpy_babai_distance, reference_gram_determinant,
+                     reference_lll_rows)
 
 
 # -- construction and gram ---------------------------------------------------
@@ -195,8 +196,9 @@ def _pin_digest(result):
 
 
 def _pin_frame(n, stream):
-    # a fresh Gram-Schmidt pass over the reduced rows, as the pins were taken
-    rows = random_unimodular(n, seed=2024, stream=stream)._reduced[0].rows
+    # a fresh Gram-Schmidt pass over the float LLL of the raw rows, the
+    # frame the pins were taken on
+    rows = random_unimodular(n, seed=2024, stream=stream)._cvp_frame[0].rows
     return Frame(rows, *gso(rows))
 
 
@@ -219,8 +221,9 @@ def test_close_vectors_pinned(n, stream, count, nodes, digest):
 
 
 def test_frame_rejects_dependent_rows():
-    with pytest.raises(DegenerateBasisError):
-        lll_rows([[1.0, 2.0], [2.0, 4.0]])
+    for lll in (lll_rows, lll_integral):
+        with pytest.raises(DegenerateBasisError):
+            lll([[1, 2], [2, 4]])
     # LLL computes one Gram-Schmidt row per stage, so a zero or dependent
     # row must be caught wherever it sits
     base = [[3, 1, 4, 1], [5, 9, 2, 6], [5, 3, 5, 8], [9, 7, 9, 3]]
@@ -230,8 +233,9 @@ def test_frame_rejects_dependent_rows():
         for row in ([0, 0, 0, 0], dependent):
             rows = [list(r) for r in base]
             rows[pos] = row
-            with pytest.raises(DegenerateBasisError):
-                lll_rows(rows)
+            for lll in (lll_rows, lll_integral):
+                with pytest.raises(DegenerateBasisError):
+                    lll(rows)
 
 
 def test_lll_row_passes_are_bounded(monkeypatch):
@@ -284,6 +288,38 @@ def test_lll_output_is_reduced():
             assert max(abs(x) for x in mu[i][:i]) <= 0.5 + 1e-9, spec
             lovasz = (reduction.DEFAULT_DELTA - mu[i][i - 1] ** 2) * c[i - 1]
             assert c[i] >= lovasz * (1 - 1e-9), spec
+
+
+def _integer_bases():
+    # gm bases at two primes, n = 2..8, with the pivot (the first column
+    # whose functional entry is nonzero mod p) at every position; and dense
+    # integer bases like those of lattice files
+    for n in range(2, 9):
+        for p in (2**31 - 1, 1000000007):
+            c = np.random.default_rng(n).integers(1, p, size=n).tolist()
+            for pivot in range(n):
+                yield ls.gm_basis(n, p, [0] * pivot + c[pivot:])
+    rng = np.random.default_rng(19)
+    for n in range(2, 7):
+        for _ in range(6):
+            yield random_integer_rows(rng, n, n, -50, 51)
+
+
+def test_lll_integral_output_is_reduced_exactly():
+    # size reduction and Lovasz' condition at 99/100 on exact Gram-Schmidt
+    # data, R = U M with U unimodular
+    for m in _integer_bases():
+        r, u = lll_integral(m)
+        assert r == matmul(u, m)
+        assert abs(bareiss_det(u)) == 1
+        mu, c = fraction_gso(r)
+        for i in range(1, len(c)):
+            assert all(abs(x) <= Fraction(1, 2) for x in mu[i][:i])
+            assert c[i] >= (Fraction(99, 100) - mu[i][i - 1] ** 2) * c[i - 1]
+    # the delta of the float LLL, which size-reduces s * R afterwards
+    assert reduction.DEFAULT_DELTA == 99 / 100
+    for n in range(1, 7):
+        assert lll_integral(identity(n)) == (identity(n), identity(n))
 
 
 def _lll_bits(rows, lll):
@@ -407,7 +443,9 @@ def test_cvp_exact_against_box_scan():
 
 def test_cvp_builds_one_frame(monkeypatch):
     lat = random_unimodular(4, seed=8, stream=0)
-    lat._reduced  # LLL computes its frame row by row
+    # LLL computes each frame row by row: the CVP frame and the search frame
+    lat._cvp_frame
+    lat._reduced
     calls = []
     row = reduction._gso_row
 
@@ -420,8 +458,28 @@ def test_cvp_builds_one_frame(monkeypatch):
     for _ in range(25):
         ls.closest_vector(lat, rng.random(4) @ lat.basis)
     ls.enumerate_short_vectors(lat, 1.2)
-    # the frame came out of the LLL behind _reduced
+    # the frames came out of the LLL behind _cvp_frame and _reduced
     assert calls == []
+
+
+@pytest.mark.parametrize("kind, count", [("goldstein_mayer", 486),
+                                         ("gaussian_baseline", 438)])
+def test_search_frame_norms_are_exact(kind, count):
+    # every primitive vector of norm <= 1.05 has the norm of its exact form
+    # in the search frame, within 1e-12 relative; the float LLL of a raw gm
+    # basis left 459 of the 486 gm vectors off by more than 1e-9
+    checked = 0
+    for n in range(2, 7):
+        for stream in range(40):
+            lat = random_unimodular(n, seed=41, stream=stream, kind=kind)
+            frame, u = lat._reduced
+            m, s = lat._exact
+            for x, norm2 in primitive_half_vectors(frame, 1.05):
+                v = matmul(matmul([list(x)], u), m)[0]
+                exact = math.sqrt(sum(a * a for a in v)) * s
+                assert abs(math.sqrt(norm2) - exact) <= 1e-12 * exact
+                checked += 1
+    assert checked == count
 
 
 def test_batched_babai_caps_are_bitwise_the_per_target_caps():

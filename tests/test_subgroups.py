@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from latstab import Lattice, intmat, lattice, reduction, subgroups
+from latstab import (Lattice, intmat, lattice, reduction, stability,
+                     subgroups)
 from latstab.enumeration import DEFAULT_BUDGET
 from latstab.errors import BudgetExceededError
 from latstab.lattice import saturation_index
@@ -105,6 +106,39 @@ def test_search_reuses_the_cached_reduction(monkeypatch):
     for lat in lats:
         assert subgroups.subgroups_within(lat, 1, 1.3)
     assert calls == []
+
+
+def test_each_path_reduces_its_own_frame(monkeypatch):
+    # a declared form's search frame comes from its integer LLL, so the
+    # float LLL never sees the raw rows of a gm lattice; the CVP path keeps
+    # the float LLL of those rows and never calls the integer LLL; a float
+    # basis has one frame for both
+    seen = []
+
+    def spy(rows, *args):
+        seen.append([list(r) for r in rows])
+        return reduction.lll_rows(rows, *args)
+
+    def refuse(rows):
+        raise AssertionError("the integer LLL ran on the CVP path")
+
+    monkeypatch.setattr(lattice, "lll_rows", spy)
+    monkeypatch.setattr(subgroups, "lll_rows", spy)
+    for n in range(2, 7):
+        lat = random_unimodular(n, seed=47, stream=0)
+        for k in range(1, n):
+            subgroups.minimal_subgroup(lat, k)
+        assert seen and lat._rows not in seen
+        assert "_cvp_frame" not in vars(lat)
+    monkeypatch.setattr(lattice, "lll_integral", refuse)
+    for n in range(2, 7):
+        lat = random_unimodular(n, seed=47, stream=1)
+        stability.covrad_lower(lat, 50, 3)
+        assert "_reduced" not in vars(lat)
+    for kind, n in (("gaussian_baseline", 4), ("exact_2d", 2)):
+        lat = random_unimodular(n, seed=47, stream=2, kind=kind)
+        subgroups.minimal_subgroup(lat, 1)
+        assert lat._reduced is lat._cvp_frame
 
 
 def test_every_frame_comes_out_of_lll(monkeypatch):
@@ -259,6 +293,15 @@ def test_low_ranks_build_no_dual_frame(monkeypatch):
         subgroups.minimal_subgroup(lat, k)
     assert "_dual_frame" not in vars(lat)
     assert {k for _, k in calls} <= {1, 2, 3}
+
+
+def test_search_decides_at_its_own_minimum():
+    # the minimal rank-1 covolume is reached by a search whose bound is
+    # that covolume; a search frame off by 1e-7 relative once missed it
+    lat = random_unimodular(5, seed=41, stream=3)
+    m = subgroups.minimal_subgroup(lat, 1)[0]
+    assert m == 0.9968770621209389
+    assert subgroups.exists_below(lat, 1, math.nextafter(m, math.inf))
 
 
 def test_rank_out_of_range_is_refused_before_the_bound():

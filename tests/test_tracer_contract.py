@@ -4,12 +4,13 @@ must still see the layers it counts. The benchmark's correctness checks
 recompute each command's output through public entry points, which must
 keep agreeing with the CLI."""
 
+import hashlib
 import importlib
 import inspect
 import sys
 from functools import cached_property
 from pathlib import Path
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
 
 import pytest
 
@@ -129,3 +130,31 @@ def test_benchmark_checks_accept_the_cli_output(tmp_path, command, args,
                                n=int(flags["--n"]), seed=3)
     assert checks["sanity"](latstab, workload, text, size) == []
     assert checks["recompute"](latstab, spec, workload, text, size) == []
+
+
+def _bench_run_module(monkeypatch):
+    # run.py, and the sibling modules it imports by name, executed from
+    # their source texts as modules that stay importable for one test
+    for name in ("checks", "layertrace", "speed", "run"):
+        path = BENCH / f"{name}.py"
+        module = ModuleType(name)
+        module.__file__ = str(path)
+        monkeypatch.setitem(sys.modules, name, module)
+        exec(compile(path.read_text(), str(path), "exec"), vars(module))
+    return vars(module)
+
+
+@pytest.mark.parametrize("workload", ["siegel-n2", "mass-n6", "alpha-n6-k4",
+                                      "covrad-n5"])
+def test_batch_zero_reproduces_the_pinned_digest(tmp_path, monkeypatch,
+                                                 workload):
+    # the command and the sha256 that bench/run.py checks on batch 0 of a
+    # run at its default seed
+    cli = importlib.import_module("latstab.cli")
+    run = _bench_run_module(monkeypatch)
+    w = run["WORKLOADS"][workload]
+    out = tmp_path / "out.csv"
+    seed = run["batch_seed"](run["DEFAULT_SEED"], 0)
+    assert cli.main(run["cli_argv"](w, seed, w.batch, out)) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == run["PINNED_CSV_SHA256"][workload]
