@@ -175,13 +175,11 @@ def _sample_text(_stream, lattice) -> str:
 
 
 def _run_sample(params: dict) -> list[Path]:
-    if params["samples"] < 1:
-        raise ValueError("samples must be at least 1")
     spec = _spec_from_params(params)
-    out_dir = Path(params["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     texts = siegel._execute(_sample_text, spec, params["samples"],
                             params["workers"])
+    out_dir = Path(params["output_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     for i, text in enumerate(texts):
         path = out_dir / f"lattice_{i:06d}.txt"
@@ -191,8 +189,6 @@ def _run_sample(params: dict) -> list[Path]:
 
 
 def _run_stability_mass(params: dict) -> list[Path]:
-    if params["samples"] < 1:
-        raise ValueError("samples must be at least 1")
     spec = _spec_from_params(params)
     result = siegel.stability_mass(spec, params["samples"],
                                    workers=params["workers"])
@@ -212,8 +208,6 @@ def _run_stability_mass(params: dict) -> list[Path]:
 
 
 def _run_verify_siegel(params: dict) -> list[Path]:
-    if params["samples"] < 2:
-        raise ValueError("samples must be at least 2")
     if not params["t"]:
         raise ValueError("at least one --t threshold is required")
     spec = _spec_from_params(params)
@@ -265,8 +259,6 @@ def _run_covrad(params: dict) -> list[Path]:
 
 
 def _run_alpha_quantiles(params: dict) -> list[Path]:
-    if params["samples"] < 1:
-        raise ValueError("samples must be at least 1")
     spec = _spec_from_params(params)
     report = siegel.alpha_quantiles(spec, params["k"], params["samples"],
                                     workers=params["workers"])

@@ -126,14 +126,6 @@ def primitive_half_vectors(frame: Frame, radius: float,
                            counter: NodeCounter | None = None):
     """Primitive half-vectors within radius, sorted by ascending norm."""
     vecs = short_vectors(frame, radius, counter=counter, half=True)
-    prim = []
-    for coords, norm_sq in vecs:
-        g = 0
-        for v in coords:
-            g = gcd(g, v)
-            if g == 1:
-                break
-        if g == 1:
-            prim.append((norm_sq, coords))
-    prim.sort()
+    prim = sorted((norm_sq, coords) for coords, norm_sq in vecs
+                  if gcd(*coords) == 1)
     return [(coords, norm_sq) for norm_sq, coords in prim]

@@ -47,15 +47,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def vector_gcd(v) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, int(x))
-        if g == 1:
-            return 1
-    return g
-
-
 def bareiss_det(mat) -> int:
     """Exact determinant by fraction-free Gaussian elimination."""
     a = copy_matrix(mat)
@@ -242,7 +233,7 @@ def complete_primitive_row(x) -> IntMatrix:
     """Unimodular matrix whose first row is the primitive vector x."""
     vec = [int(v) for v in x]
     m = len(vec)
-    if vector_gcd(vec) != 1:
+    if gcd(*vec) != 1:
         raise ValueError("vector is not primitive")
     w = identity(m)
 

@@ -23,8 +23,7 @@ from . import intmat
 from .enumeration import (DEFAULT_BUDGET, NodeCounter, _close_r2, close_vectors,
                           short_vectors)
 from .errors import DegenerateBasisError, LatticeParseError
-from .reduction import (DEFAULT_DELTA, Frame, lll_integral, lll_rows,
-                        nearest_plane)
+from .reduction import Frame, lll_integral, lll_rows, nearest_plane
 
 COVOLUME_RTOL = 1e-9
 EXACT_FORM_RTOL = 1e-12
@@ -155,10 +154,11 @@ class Lattice:
 
     @cached_property
     def _cvp_frame(self) -> tuple[Frame, IntRows]:
-        """_reduced by float LLL of the basis rows, the CVP path's frame. A
-        declared form keeps it beside _reduced, since covrad's printed
-        distances depend on its bits and its pinned outputs were taken on it."""
-        frame, u = lll_rows(self._rows, DEFAULT_DELTA)
+        """_reduced by float LLL of the basis rows, the CVP path's frame. On
+        a declared form it is the only float LLL of the raw rows left: it is
+        kept beside _reduced, since covrad's printed distances depend on its
+        bits and its pinned outputs were taken on it."""
+        frame, u = lll_rows(self._rows)
         return frame, _freeze_rows(u)
 
     @cached_property
@@ -181,7 +181,7 @@ class Lattice:
                 f = mu[i][j]
                 row = [a - f * b for a, b in zip(row, inv_t[i])]
             inv_t[j] = row
-        frame, v = lll_rows(inv_t[::-1], DEFAULT_DELTA)
+        frame, v = lll_rows(inv_t[::-1])
         return frame, _freeze_rows(row[::-1] for row in v)
 
     @cached_property
@@ -227,21 +227,15 @@ def dual(lattice: Lattice) -> Lattice:
     return Lattice.from_exact(rows, 1.0 / (s * abs(det)))
 
 
-def lll_reduce(lattice: Lattice, delta: float = DEFAULT_DELTA,
-               return_transform: bool = False):
-    """LLL-reduced basis of the same lattice.
-
-    The reduction is computed in floating point while the unimodular integer
-    change of basis is tracked exactly, so the result declares the exact
-    form u @ M of the input's.
-    """
-    _, u = lll_rows(lattice._rows, delta)
+def lll_reduce(lattice: Lattice) -> Lattice:
+    """LLL-reduced basis of the same lattice, the search's own reduction:
+    the exact form u @ M, with u the cached transform of Lattice._reduced,
+    so a declared form (M, s) is reduced in integers, a float basis in
+    floats."""
+    _, u = lattice._reduced
     m, s = lattice._exact
-    reduced = Lattice.from_exact(intmat.matmul(u, [list(r) for r in m]), s,
-                                 provenance=lattice.provenance)
-    if return_transform:
-        return reduced, _freeze_rows(u)
-    return reduced
+    return Lattice.from_exact(intmat.matmul(u, m), s,
+                              provenance=lattice.provenance)
 
 
 # -- covolumes of subgroups ------------------------------------------------

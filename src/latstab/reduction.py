@@ -93,16 +93,14 @@ class Frame(NamedTuple):
     bstar: list[list[float]]
 
 
-def lll_rows(rows, delta: float = DEFAULT_DELTA) -> tuple[Frame, IntMatrix]:
-    """LLL-reduce the given basis rows.
+def lll_rows(rows) -> tuple[Frame, IntMatrix]:
+    """LLL-reduce the given basis rows at delta = DEFAULT_DELTA.
 
     Returns (frame, transform): the Gram-Schmidt frame of the reduced rows
     and the integer unimodular matrix U with frame.rows == U @ rows. Raises
     DegenerateBasisError if the rows are numerically dependent or the
     reduction fails to converge.
     """
-    if not 0.25 < delta < 1.0:
-        raise ValueError(f"LLL delta must lie in (1/4, 1), got {delta}")
     b = [list(map(float, r)) for r in rows]
     m = len(b)
     if not m:
@@ -145,7 +143,7 @@ def lll_rows(rows, delta: float = DEFAULT_DELTA) -> tuple[Frame, IntMatrix]:
                 break
         else:
             raise DegenerateBasisError("LLL size reduction failed to converge")
-        if k == 0 or c[k] >= (delta - mu[k][k - 1] ** 2) * c[k - 1]:
+        if k == 0 or c[k] >= (DEFAULT_DELTA - mu[k][k - 1] ** 2) * c[k - 1]:
             k += 1
         else:
             b[k - 1], b[k] = b[k], b[k - 1]

@@ -367,8 +367,9 @@ def normalization_ratio(source, k: int, t_list, n_samples: int,
     The per-threshold ratio is reported for one or more distinct
     thresholds; constancy of the ratio across them is asserted via pairwise
     z-scores (shared lattice streams make the comparison conservative),
-    and a single threshold has max_pairwise_z = 0. Whether the constant
-    itself equals 1 is only known in closed form at n = 2.
+    and a single threshold has max_pairwise_z = 0. By Schmidt's mean value
+    (Duke Math. J. 35, 1968) the expected ratio is 2 / binom(n, k), which
+    is 1 only at n = 2; only n = 2 is asserted.
     """
     ts = sorted(float(t) for t in t_list)
     if not ts:

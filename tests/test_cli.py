@@ -168,6 +168,26 @@ def test_worker_count_below_one_draws_nothing(tmp_path, draws):
     assert list(tmp_path.rglob("*.json")) == []
 
 
+def test_sample_count_below_the_minimum_draws_nothing(tmp_path, draws):
+    # the experiments refuse too few samples before any draw, and nothing
+    # is written: no output, no directory, no manifest
+    out = tmp_path / "x.csv"
+    lats = ["--output-dir", str(tmp_path / "lats")]
+    common = ["--n", "3", "--sampler", "gm", "--seed", "1"]
+    for argv in (["stability-mass", "--samples", "0", "--output", str(out)],
+                 ["alpha-quantiles", "--k", "1", "--samples", "0",
+                  "--output", str(out)],
+                 ["verify-siegel", "--k", "1", "--t", "1.0", "--samples", "1",
+                  "--output", str(out)],
+                 ["sample", "--samples", "0"] + lats):
+        assert run(argv + common + ["--workers", "1"]) == 1
+    # sample makes its directory only once the draws are done
+    assert run(["sample", "--samples", "4", "--workers", "0"] + lats
+               + common) == 1
+    assert draws == []
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_invalid_worker_environment_is_a_usage_error(tmp_path, draws,
                                                      monkeypatch, capsys):
     # LATSTAB_WORKERS gives the --workers default, so an invalid value is

@@ -88,7 +88,8 @@ def test_lll_skewed_example():
 def test_lll_preserves_lattice_exactly():
     for i in range(25):
         lat = random_unimodular(4, seed=9, stream=i)
-        red, u = ls.lll_reduce(lat, return_transform=True)
+        red = ls.lll_reduce(lat)
+        u = lat._reduced[1]
         assert bareiss_det([list(r) for r in u]) in (1, -1)
         m2 = np.array(u, dtype=object) @ np.array(
             [list(r) for r in lat.exact_basis], dtype=object
@@ -97,9 +98,32 @@ def test_lll_preserves_lattice_exactly():
         assert abs(red.covolume - lat.covolume) <= 1e-9 * lat.covolume
 
 
-def test_lll_delta_validation(z2):
-    with pytest.raises(ValueError):
-        ls.lll_reduce(z2, delta=0.2)
+def test_lll_reduce_is_the_search_reduction(monkeypatch):
+    # lll_reduce returns u @ M with u the search's cached transform, exactly
+    # LLL-reduced at 99/100; a declared form is reduced in integers, so the
+    # float LLL never sees its raw rows
+    seen = []
+
+    def spy(rows, *args):
+        seen.append([list(r) for r in rows])
+        return lll_rows(rows, *args)
+
+    monkeypatch.setattr("latstab.lattice.lll_rows", spy)
+    for p in (2**31 - 1, 1000003):
+        for n in range(2, 9):
+            for stream in range(6):
+                lat = ls.sample_gm(n, p, 41, stream)
+                red = ls.lll_reduce(lat)
+                u = lat._reduced[1]
+                assert red.exact_basis == _freeze_rows(
+                    matmul(u, lat.exact_basis)), (n, p, stream)
+                assert lat._rows not in seen
+                assert red.scale == lat.scale
+                mu, c = fraction_gso(red.exact_basis)
+                for i in range(1, n):
+                    assert all(abs(x) <= Fraction(1, 2) for x in mu[i][:i])
+                    assert c[i] >= ((Fraction(99, 100) - mu[i][i - 1] ** 2)
+                                    * c[i - 1])
 
 
 # -- enumeration ---------------------------------------------------------------
