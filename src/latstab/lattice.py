@@ -153,6 +153,14 @@ class Lattice:
         return frame, _freeze_rows(intmat.matmul(u2, u))
 
     @cached_property
+    def _leading_dets(self) -> list[int]:
+        """Exact Gram determinants of the spans of the leading k reduced
+        rows u[:k], k = 1..n: the leading principal minors of the Gram of
+        u M, from one elimination."""
+        return intmat.leading_minors(
+            intmat.gram(intmat.matmul(self._reduced[1], self._exact[0])))
+
+    @cached_property
     def _cvp_frame(self) -> tuple[Frame, IntRows]:
         """_reduced by float LLL of the basis rows, the CVP path's frame. On
         a declared form it is the only float LLL of the raw rows left: it is
@@ -256,10 +264,15 @@ def subgroup_covolume(lattice: Lattice, coords) -> float:
     the package gives the same answer for any generators of the same
     subgroup.
     """
-    k = len(coords)
     d = exact_gram_determinant(lattice, coords)
     if d <= 0:
         raise ValueError("coordinate rows are not independent")
+    return _covolume(lattice, len(coords), d)
+
+
+def _covolume(lattice: Lattice, k: int, d: int) -> float:
+    """Covolume of a rank-k subgroup whose exact Gram determinant on the
+    lattice's exact form is d > 0."""
     scale = lattice._exact[1]
     if d.bit_length() < 1000:
         return math.sqrt(float(d)) * scale**k

@@ -24,6 +24,11 @@ floating-point search radii only ever carry a small relative slack.
 Ranks k > n/2 are searched at rank n - k in the dual lattice, where the
 search is far cheaper (see _route); each dual candidate is mapped back to
 integer coordinates in the lattice before its covolume is evaluated.
+
+exists_below tries the span of the leading k reduced rows first, at every
+rank: their exact Gram determinants, for all k at once, are the leading
+principal minors of the reduced form's Gram matrix (Lattice._leading_dets).
+A rank that span decides runs no search and spends no node.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from .enumeration import (
 from .lattice import (
     IntRows,
     Lattice,
+    _covolume,
     canonical_form,
     exact_gram_determinant,
     subgroup_covolume,
@@ -73,6 +79,13 @@ def _direct(rows):
     return rows
 
 
+def _check_rank(lattice: Lattice, k: int) -> int:
+    n = lattice.dim
+    if not 1 <= k <= n:
+        raise ValueError(f"rank {k} out of range for dimension {n}")
+    return n
+
+
 def _route(lattice: Lattice, k: int):
     """(level, rank, scale, to_lattice) of the search for rank-k subgroups.
 
@@ -87,9 +100,7 @@ def _route(lattice: Lattice, k: int):
     to_lattice maps each candidate back to integer coordinates in L, where
     the drivers evaluate every covolume.
     """
-    n = lattice.dim
-    if not 1 <= k <= n:
-        raise ValueError(f"rank {k} out of range for dimension {n}")
+    n = _check_rank(lattice, k)
     if 2 * k <= n or k == n:
         return lattice._reduced, k, 1.0, _direct
     u = lattice._reduced[1]
@@ -230,11 +241,19 @@ def exists_below(lattice: Lattice, k: int, bound: float,
     bound math.nextafter(b, math.inf) asks for covolume <= b.
 
     Early-exits on the first witness, so deciding instability is much
-    cheaper than computing the minimum itself.
+    cheaper than computing the minimum itself. The span of the leading k
+    reduced rows is tried first, at every rank and before any routing: a
+    rank it decides builds no dual frame, runs no search and spends no
+    node of the budget.
     """
-    level, rank, scale, to_lattice = _route(lattice, k)
+    _check_rank(lattice, k)
     if not bound > 0:
         return False
+    # a primitive subgroup below the bound proves the answer, which the
+    # complete search would reach with the same float of the same exact d
+    if _covolume(lattice, k, lattice._leading_dets[k - 1]) < bound:
+        return True
+    level, rank, scale, to_lattice = _route(lattice, k)
     search = _Search(bound, budget, k, rank)
     # every primitive subgroup below the threshold is a candidate of its own
     # (completeness), so a candidate's own exact covolume decides

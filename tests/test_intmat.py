@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from latstab import intmat
@@ -37,6 +37,21 @@ def test_bareiss_matches_fraction_det(rows):
 def test_bareiss_4x4(rows):
     expect = _fraction_det([[Fraction(x) for x in row] for row in rows])
     assert intmat.bareiss_det(rows) == expect
+
+
+@given(st.integers(1, 7).flatmap(square))
+@settings(max_examples=60)
+def test_leading_minors_are_the_leading_block_determinants(a):
+    assume(intmat.bareiss_det(a) != 0)
+    g = intmat.gram(a)
+    assert intmat.leading_minors(g) == [
+        intmat.bareiss_det([row[:k] for row in g[:k]])
+        for k in range(1, len(a) + 1)]
+
+
+def test_leading_minors_refuse_an_indefinite_matrix():
+    with pytest.raises(ValueError, match="not positive definite"):
+        intmat.leading_minors([[1, 2], [2, 1]])
 
 
 def _random_unimodular(rng, n):

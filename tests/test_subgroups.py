@@ -276,9 +276,12 @@ def _spy_candidates(monkeypatch):
 
 
 def test_rank_n_minus_1_runs_at_rank_1_in_the_dual(monkeypatch):
+    # at their own covolume, which the strict < refuses, the leading five
+    # rows decide nothing and the search runs
     calls = _spy_candidates(monkeypatch)
     lat = random_unimodular(6, seed=53, stream=0)
-    subgroups.exists_below(lat, 5, 1.0 - 1e-12)
+    own = subgroups.subgroup_covolume(lat, lat._reduced[1][:5])
+    subgroups.exists_below(lat, 5, own)
     ((level, k),) = calls
     assert k == 1
     assert level is lat._dual_frame
@@ -293,6 +296,53 @@ def test_low_ranks_build_no_dual_frame(monkeypatch):
         subgroups.minimal_subgroup(lat, k)
     assert "_dual_frame" not in vars(lat)
     assert {k for _, k in calls} <= {1, 2, 3}
+
+
+# -- exists_below tries the leading reduced rows first --------------------------
+
+
+def _witness_lattices():
+    for kind, dims in (("goldstein_mayer", range(2, 8)),
+                       ("gaussian_baseline", range(2, 8)),
+                       ("exact_2d", (2,))):
+        for n in dims:
+            for stream in range(4):
+                yield random_unimodular(n, seed=59, stream=stream, kind=kind)
+
+
+def test_leading_dets_are_the_leading_rows_gram_determinants():
+    for lat in _witness_lattices():
+        u = lat._reduced[1]
+        dets = lat._leading_dets
+        assert dets == [lattice.exact_gram_determinant(lat, u[:k])
+                        for k in range(1, lat.dim + 1)]
+        assert dets[-1] == intmat.bareiss_det(lat._exact[0]) ** 2
+
+
+def test_witness_agrees_with_the_search_alone():
+    # each bound is met by the leading rows or left to the search; at the
+    # witness's own covolume the search decides, just above it the witness
+    decided = {True: 0, False: 0}
+    for lat in _witness_lattices():
+        u = lat._reduced[1]
+        for k in range(1, lat.dim + 1):
+            m = subgroups.minimal_subgroup(lat, k)[0]
+            own = subgroups.subgroup_covolume(lat, u[:k])
+            for bound in (1.0, (1 - 1e-12) ** k, own,
+                          math.nextafter(own, math.inf)):
+                decided[own < bound] += 1
+                assert subgroups.exists_below(lat, k, bound) == (m < bound), \
+                    (lat.basis, k, bound)
+    assert decided[True] > 100 and decided[False] > 100
+
+
+def test_witnessed_rank_runs_no_search(monkeypatch):
+    # the leading five reduced rows of this lattice have covolume 0.885
+    calls = _spy_candidates(monkeypatch)
+    lat = random_unimodular(6, seed=53, stream=0)
+    assert subgroups.exists_below(lat, 5, 1.0, budget=0)
+    assert calls == []
+    assert "_dual_frame" not in vars(lat)
 
 
 def test_search_decides_at_its_own_minimum():
