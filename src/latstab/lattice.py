@@ -23,7 +23,8 @@ from . import intmat
 from .enumeration import (DEFAULT_BUDGET, NodeCounter, _close_r2, close_vectors,
                           short_vectors)
 from .errors import DegenerateBasisError, LatticeParseError
-from .reduction import Frame, lll_integral, lll_rows, nearest_plane
+from .reduction import (Frame, IntegralLLL, integral_frame, lll_integral,
+                        lll_rows, nearest_plane)
 
 COVOLUME_RTOL = 1e-9
 EXACT_FORM_RTOL = 1e-12
@@ -140,23 +141,34 @@ class Lattice:
         return _freeze_rows(intmat.gram([list(r) for r in self._exact[0]]))
 
     @cached_property
+    def _integral(self) -> IntegralLLL:
+        """Integral LLL of the declared exact form M: U M, U and the exact
+        Gram-Schmidt data of U M. The one reduction of a declared form."""
+        return lll_integral(self.exact_basis)
+
+    @cached_property
     def _reduced(self) -> tuple[Frame, IntRows]:
         """Gram-Schmidt frame of the LLL-reduced basis rows R, and the
         transform u with R = u @ basis. A declared exact form (M, s) is
-        reduced in integers, and float LLL only size-reduces s * (U M): on
-        the raw gm basis (condition number about p) it left norms off by up
-        to 1.5e-7 relative. A float basis keeps the float LLL, _cvp_frame."""
+        reduced in integers, and the frame of s * (U M) is read off that
+        reduction's exact data (integral_frame): float LLL of the raw gm
+        basis (condition number about p) left norms off by up to 1.5e-7
+        relative. A float basis keeps the float LLL, _cvp_frame. Built only
+        when read: a lattice whose every rank the leading rows decide needs
+        no frame."""
         if self.exact_basis is None:
             return self._cvp_frame
-        r, u = lll_integral(self.exact_basis)
-        frame, u2 = lll_rows([[self.scale * x for x in row] for row in r])
-        return frame, _freeze_rows(intmat.matmul(u2, u))
+        lll = self._integral
+        return integral_frame(lll, self.scale), _freeze_rows(lll.transform)
 
     @cached_property
     def _leading_dets(self) -> list[int]:
         """Exact Gram determinants of the spans of the leading k reduced
-        rows u[:k], k = 1..n: the leading principal minors of the Gram of
-        u M, from one elimination."""
+        rows u[:k], k = 1..n. A declared form's are the integral LLL's own
+        d[1..n]; a float basis's are the leading principal minors of the
+        Gram of u M, from one elimination."""
+        if self.exact_basis is not None:
+            return self._integral.d[1:]
         return intmat.leading_minors(
             intmat.gram(intmat.matmul(self._reduced[1], self._exact[0])))
 

@@ -5,6 +5,10 @@ package targets (n <= 8 or so) that is faster than numpy row operations. The
 integer change-of-basis matrix is accumulated alongside the float rows so
 callers can replay the reduction on exact integer data. lll_integral reduces
 integer rows exactly, and faster on an ill-conditioned Goldstein-Mayer basis.
+It hands down its exact Gram-Schmidt data with the reduced rows, and
+integral_frame reads the float frame of the scaled rows off that data, with
+each mu and |b*|^2 correctly rounded from an integer ratio; float LLL reduces
+only float bases, projections and dual frames.
 
 LLL computes one Gram-Schmidt row per stage (Schnorr and Euchner, Math.
 Programming 66, 1994), not the whole frame after each swap. Cohen's swap
@@ -83,8 +87,9 @@ class Frame(NamedTuple):
     """Gram-Schmidt frame of independent basis rows.
 
     b_i = b*_i + sum_{j<i} mu[i][j] b*_j with c[i] = |b*_i|^2 > 0; built
-    row by row by lll_rows, which hands it down with the reduced rows, and
-    shared by Babai and the enumerators.
+    row by row by lll_rows, which hands it down with the reduced rows, or
+    read off lll_integral's exact data by integral_frame, and shared by
+    Babai and the enumerators.
     """
 
     rows: list[list[float]]
@@ -155,14 +160,27 @@ def lll_rows(rows) -> tuple[Frame, IntMatrix]:
     return Frame(b, mu, c, bstar), u
 
 
-def lll_integral(rows) -> tuple[IntMatrix, IntMatrix]:
-    """(R, U) with R == U @ rows LLL-reduced exactly: |mu| <= 1/2 and
-    Lovasz' condition at delta = 99/100, the value of DEFAULT_DELTA.
+class IntegralLLL(NamedTuple):
+    """Exact LLL reduction R == U @ rows and the Gram-Schmidt data of R:
+    d[i] is the Gram determinant of the leading i rows (d[0] = 1), and
+    lam[i][j] = d[j + 1] mu_ij for j < i (entries with j >= i are not
+    meaningful)."""
+
+    rows: IntMatrix
+    transform: IntMatrix
+    d: list[int]
+    lam: IntMatrix
+
+
+def lll_integral(rows) -> IntegralLLL:
+    """(R, U, d, lam) with R == U @ rows LLL-reduced exactly: |mu| <= 1/2
+    and Lovasz' condition at delta = 99/100, the value of DEFAULT_DELTA.
 
     Cohen's integral LLL (A Course in Computational Algebraic Number
     Theory, Alg. 2.6.7) on the Gram determinants d[i] of the leading i rows
-    and lam[k][j] = d[j + 1] mu_kj; R is formed once, as U @ rows. Raises
-    DegenerateBasisError on dependent rows.
+    and lam[k][j] = d[j + 1] mu_kj, handed down as they stand at the end;
+    R is formed once, as U @ rows. Raises DegenerateBasisError on dependent
+    rows.
     """
     a = [list(map(int, r)) for r in rows]
     m = len(a)
@@ -216,7 +234,28 @@ def lll_integral(rows) -> tuple[IntMatrix, IntMatrix]:
             for j in range(k - 2, -1, -1):
                 reduce(k, j)
             k += 1
-    return matmul(u, a), u
+    return IntegralLLL(matmul(u, a), u, d, lam)
+
+
+def integral_frame(lll: IntegralLLL, s: float) -> Frame:
+    """Frame of the float rows s * R from lll_integral's exact data: mu_ij =
+    lam[i][j] / d[j + 1] and c_i = s^2 (d[i + 1] / d[i]), each integer
+    ratio correctly rounded, and b*_i = b_i - sum_{j<i} mu_ij b*_j."""
+    r, _, d, lam = lll
+    m = len(r)
+    rows = [[s * x for x in row] for row in r]
+    mu = [[lam[i][j] / d[j + 1] if j < i else 0.0 for j in range(m)]
+          for i in range(m)]
+    s2 = s * s
+    c = [s2 * (d[i + 1] / d[i]) for i in range(m)]
+    bstar: list[list[float]] = []
+    for bi, mui in zip(rows, mu):
+        bi = bi[:]
+        for mij, bj in zip(mui, bstar):
+            for t in range(len(bi)):
+                bi[t] -= mij * bj[t]
+        bstar.append(bi)
+    return Frame(rows, mu, c, bstar)
 
 
 def nearest_plane(frame: Frame, target) -> list[int]:

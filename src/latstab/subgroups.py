@@ -27,8 +27,10 @@ integer coordinates in the lattice before its covolume is evaluated.
 
 exists_below tries the span of the leading k reduced rows first, at every
 rank: their exact Gram determinants, for all k at once, are the leading
-principal minors of the reduced form's Gram matrix (Lattice._leading_dets).
-A rank that span decides runs no search and spends no node.
+principal minors of the reduced form's Gram matrix (Lattice._leading_dets),
+which the integral LLL of a declared form already holds. A rank that span
+decides runs no search and spends no node, and a lattice whose every rank
+it decides builds no search frame.
 """
 
 from __future__ import annotations
@@ -142,7 +144,8 @@ def _candidates(level, k: int, scale: float, search: _Search):
 
     The first yield of each level is the span of the leading reduced rows,
     which gives the drivers a cheap valid witness and, in minimization mode,
-    an immediate upper bound before any radius is computed.
+    an immediate upper bound before any radius is computed. exists_below
+    has decided that span already, and skips it on a direct route.
     """
     frame, lift = level
     yield list(lift[:k])
@@ -255,9 +258,12 @@ def exists_below(lattice: Lattice, k: int, bound: float,
         return True
     level, rank, scale, to_lattice = _route(lattice, k)
     search = _Search(bound, budget, k, rank)
+    candidates = _candidates(level, rank, scale, search)
+    if to_lattice is _direct:
+        next(candidates)  # the leading k rows, refused above
     # every primitive subgroup below the threshold is a candidate of its own
     # (completeness), so a candidate's own exact covolume decides
-    for rows in _candidates(level, rank, scale, search):
+    for rows in candidates:
         if subgroup_covolume(lattice, to_lattice(rows)) < bound:
             return True
     return False

@@ -14,7 +14,7 @@ from latstab.errors import (
     DegenerateBasisError,
     LatticeParseError,
 )
-from latstab import reduction, subgroups
+from latstab import intmat, reduction, subgroups
 from latstab.enumeration import (NodeCounter, _close_r2, close_vectors,
                                  primitive_half_vectors, short_vectors)
 from latstab.intmat import bareiss_det, identity, matmul
@@ -333,17 +333,57 @@ def test_lll_integral_output_is_reduced_exactly():
     # size reduction and Lovasz' condition at 99/100 on exact Gram-Schmidt
     # data, R = U M with U unimodular
     for m in _integer_bases():
-        r, u = lll_integral(m)
+        r, u, _, _ = lll_integral(m)
         assert r == matmul(u, m)
         assert abs(bareiss_det(u)) == 1
         mu, c = fraction_gso(r)
         for i in range(1, len(c)):
             assert all(abs(x) <= Fraction(1, 2) for x in mu[i][:i])
             assert c[i] >= (Fraction(99, 100) - mu[i][i - 1] ** 2) * c[i - 1]
-    # the delta of the float LLL, which size-reduces s * R afterwards
+    # the delta of the float LLL, which reduces float bases
     assert reduction.DEFAULT_DELTA == 99 / 100
     for n in range(1, 7):
-        assert lll_integral(identity(n)) == (identity(n), identity(n))
+        assert lll_integral(identity(n))[:2] == (identity(n), identity(n))
+
+
+def test_lll_integral_hands_down_its_exact_gram_schmidt_data():
+    # d[i + 1] / d[i] is c_i and lam[i][j] / d[j + 1] is mu_ij of R, exactly
+    for m in _integer_bases():
+        r, _, d, lam = lll_integral(m)
+        mu, c = fraction_gso(r)
+        assert d[0] == 1
+        for i in range(len(c)):
+            assert Fraction(d[i + 1], d[i]) == c[i]
+            for j in range(i):
+                assert Fraction(lam[i][j], d[j + 1]) == mu[i][j]
+
+
+def test_declared_form_reads_its_frame_off_the_exact_data(monkeypatch):
+    # the leading determinants are those of the reduced rows u @ M, and the
+    # frame's mu and c are the correctly rounded exact values: exactly at
+    # scale 1, and within the rounding of s * s and of the product at a gm
+    # scale; no float LLL runs
+    def refuse(rows):
+        raise AssertionError("float LLL ran on a declared form")
+
+    monkeypatch.setattr("latstab.lattice.lll_rows", refuse)
+    lats = [ls.Lattice.from_exact(m, 1.0) for m in _integer_bases()]
+    lats += [random_unimodular(n, seed=67, stream=s)
+             for n in range(2, 9) for s in range(4)]
+    for lat in lats:
+        m, s = lat._exact
+        frame, u = lat._reduced
+        r = matmul(u, m)
+        assert lat._leading_dets == intmat.leading_minors(intmat.gram(r))
+        assert frame.rows == [[s * x for x in row] for row in r]
+        mu, c = fraction_gso(r)
+        for i in range(len(c)):
+            assert frame.mu[i][:i] == [float(x) for x in mu[i][:i]]
+            exact = Fraction(s) ** 2 * c[i]
+            if s == 1.0:
+                assert frame.c[i] == float(exact)
+            else:
+                assert abs(Fraction(frame.c[i]) - exact) <= 2**-51 * exact
 
 
 def _lll_bits(rows, lll):

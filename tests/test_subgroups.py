@@ -2,6 +2,7 @@
 ranks above n/2 searched in the dual with the same results."""
 
 import hashlib
+import itertools
 import math
 import re
 import sys
@@ -109,10 +110,10 @@ def test_search_reuses_the_cached_reduction(monkeypatch):
 
 
 def test_each_path_reduces_its_own_frame(monkeypatch):
-    # a declared form's search frame comes from its integer LLL, so the
-    # float LLL never sees the raw rows of a gm lattice; the CVP path keeps
-    # the float LLL of those rows and never calls the integer LLL; a float
-    # basis has one frame for both
+    # a declared form's search frame is read off its integer LLL, so the
+    # float LLL never sees the raw rows of a gm lattice, nor their reduced
+    # rows s * (U M); the CVP path keeps the float LLL of the raw rows and
+    # never calls the integer LLL; a float basis has one frame for both
     seen = []
 
     def spy(rows, *args):
@@ -128,7 +129,9 @@ def test_each_path_reduces_its_own_frame(monkeypatch):
         lat = random_unimodular(n, seed=47, stream=0)
         for k in range(1, n):
             subgroups.minimal_subgroup(lat, k)
-        assert seen and lat._rows not in seen
+        assert "_reduced" in vars(lat)
+        assert lat._rows not in seen
+        assert lat._reduced[0].rows not in seen
         assert "_cvp_frame" not in vars(lat)
     monkeypatch.setattr(lattice, "lll_integral", refuse)
     for n in range(2, 7):
@@ -142,8 +145,10 @@ def test_each_path_reduces_its_own_frame(monkeypatch):
 
 
 def test_every_frame_comes_out_of_lll(monkeypatch):
-    # each level's frame, at the top, in the dual and below every
-    # projection, is the one LLL kept while reducing the level
+    # each level's frame, in the dual and below every projection, and at
+    # the top of a float basis, is the one LLL kept while reducing the
+    # level; a declared form's top frame is read off its integral LLL, which
+    # computes no float Gram-Schmidt row
     callers = []
     real = reduction._gso_row
 
@@ -343,6 +348,73 @@ def test_witnessed_rank_runs_no_search(monkeypatch):
     assert subgroups.exists_below(lat, 5, 1.0, budget=0)
     assert calls == []
     assert "_dual_frame" not in vars(lat)
+
+
+def test_direct_route_evaluates_the_leading_rows_once(monkeypatch):
+    # on a direct route the leading rows are the search's first candidate;
+    # once their leading determinant has refused them, the exact covolumes
+    # evaluated are the search's other candidates, in order
+    calls = []
+    real = lattice.exact_gram_determinant
+
+    def spy(lat, coords):
+        calls.append([list(r) for r in coords])
+        return real(lat, coords)
+
+    monkeypatch.setattr(lattice, "exact_gram_determinant", spy)
+    outcomes = {True: 0, False: 0}
+    for kind, n, stream in itertools.product(KINDS, range(2, 9), range(16)):
+        lat = random_unimodular(n, seed=61, stream=stream, kind=kind)
+        for k in [*range(1, n // 2 + 1), n]:
+            own = lattice._covolume(lat, k, lat._leading_dets[k - 1])
+            m = subgroups.minimal_subgroup(lat, k)[0]
+            for bound in (stability._stable_bound(k), own,
+                          math.nextafter(m, math.inf)):
+                if own < bound:
+                    continue
+                cands = [[list(r) for r in rows]
+                         for rows in _direct_candidates(lat, k, bound)]
+                assert cands[0] == [list(r) for r in lat._reduced[1][:k]]
+                calls.clear()
+                found = subgroups.exists_below(lat, k, bound)
+                assert calls == cands[1:len(calls) + 1]
+                if not found:
+                    assert len(calls) == len(cands) - 1
+                outcomes[found] += 1
+    assert outcomes[True] >= 10 and outcomes[False] > 300
+
+
+def test_witnessed_lattice_builds_no_frame(monkeypatch):
+    # a gm lattice whose every rank the leading reduced rows decide is
+    # classified at every rank, and by is_stable, from its one integral LLL:
+    # no float LLL runs and no frame is built
+    seen = []
+
+    def spy(rows, *args):
+        seen.append(rows)
+        return reduction.lll_rows(rows, *args)
+
+    def witnessed(lat):
+        return all(lattice._covolume(lat, k, lat._leading_dets[k - 1])
+                   < stability._stable_bound(k) for k in range(1, lat.dim))
+
+    monkeypatch.setattr(lattice, "lll_rows", spy)
+    monkeypatch.setattr(subgroups, "lll_rows", spy)
+    checked = 0
+    for n in range(2, 8):
+        for stream in range(10):
+            if not witnessed(random_unimodular(n, seed=73, stream=stream)):
+                continue
+            lat = random_unimodular(n, seed=73, stream=stream)
+            assert not stability.is_stable(lat)
+            assert all(subgroups.exists_below(lat, k,
+                                              stability._stable_bound(k))
+                       for k in range(1, n))
+            assert seen == []
+            assert not {"_reduced", "_cvp_frame", "_dual_frame"} & set(
+                vars(lat))
+            checked += 1
+    assert checked > 30
 
 
 def test_search_decides_at_its_own_minimum():
