@@ -101,6 +101,37 @@ def leading_minors(g) -> list[int]:
     return [a[i][i] for i in range(n)]
 
 
+def spd_adjugate(g) -> tuple[IntMatrix, int]:
+    """Return (adj, det) of a symmetric positive-definite integer matrix by
+    one fraction-free Gauss-Jordan pass over [g | I], which ends as
+    [det(g) I | adj(g)]. Each pivot is a leading principal minor, hence
+    positive, so no row is exchanged; every division is exact.
+
+    Before step i, outside the columns i..n+i a row r != i holds one
+    nonzero entry, the previous pivot: on the diagonal if r < i, in its
+    identity column if r > i. So only those columns are eliminated, and
+    that entry becomes the new pivot."""
+    n = len(g)
+    a = [[int(x) for x in row] + [int(i == j) for j in range(n)]
+         for i, row in enumerate(g)]
+    prev = 1
+    for i in range(n):
+        row_i = a[i]
+        piv = row_i[i]
+        if piv <= 0:
+            raise ValueError("matrix is not positive definite")
+        part_i = row_i[i:n + i + 1]
+        for r in range(n):
+            if r != i:
+                row = a[r]
+                f = row[i]
+                row[i:n + i + 1] = [(x * piv - f * y) // prev for x, y
+                                    in zip(row[i:n + i + 1], part_i)]
+                row[r if r < i else n + r] = piv
+        prev = piv
+    return [row[n:] for row in a], prev
+
+
 def hnf_rows(rows) -> IntMatrix:
     """Canonical row Hermite normal form.
 

@@ -22,7 +22,8 @@ import numpy as np
 from . import intmat
 from .enumeration import (DEFAULT_BUDGET, NodeCounter, _close_r2, close_vectors,
                           short_vectors)
-from .errors import DegenerateBasisError, LatticeParseError
+from .errors import (DegenerateBasisError, InvariantViolationError,
+                     LatticeParseError)
 from .reduction import (Frame, IntegralLLL, integral_frame, lll_integral,
                         lll_rows, nearest_plane)
 
@@ -169,8 +170,15 @@ class Lattice:
         Gram of u M, from one elimination."""
         if self.exact_basis is not None:
             return self._integral.d[1:]
-        return intmat.leading_minors(
-            intmat.gram(intmat.matmul(self._reduced[1], self._exact[0])))
+        return intmat.leading_minors(self._reduced_gram)
+
+    @cached_property
+    def _reduced_gram(self) -> list[list[int]]:
+        """Integer Gram G = R R^T of the reduced rows R = u M; a declared
+        form's R are its integral LLL's rows."""
+        if self.exact_basis is not None:
+            return intmat.gram(self._integral.rows)
+        return intmat.gram(intmat.matmul(self._reduced[1], self._exact[0]))
 
     @cached_property
     def _cvp_frame(self) -> tuple[Frame, IntRows]:
@@ -203,6 +211,14 @@ class Lattice:
             inv_t[j] = row
         frame, v = lll_rows(inv_t[::-1])
         return frame, _freeze_rows(row[::-1] for row in v)
+
+    @cached_property
+    def _dual_gram(self) -> tuple[list[list[int]], int]:
+        """(adj G, det G) of _reduced_gram G: the dual basis R^-T, in whose
+        coordinates the dual frame's candidates come, has Gram
+        G^-1 = adj G / det G. One fraction-free Gauss-Jordan pass, built on
+        the first dual candidate."""
+        return intmat.spd_adjugate(self._reduced_gram)
 
     @cached_property
     def _reduced_inverse(self) -> IntRows:
@@ -267,6 +283,30 @@ def exact_gram_determinant(lattice: Lattice, coords) -> int:
     v = intmat.matmul([list(map(int, row)) for row in coords],
                       lattice._exact[0])
     return intmat.bareiss_det(intmat.gram(v))
+
+
+def dual_gram_determinant(lattice: Lattice, y) -> int:
+    """Exact Gram determinant, on the exact form, of the subgroup D of L
+    orthogonal to the primitive rows y, given in coordinates in the dual
+    basis R^-T of the reduced rows R (D = y^perp: the x with x @ R
+    orthogonal to y @ R^-T, i.e. x . y = 0).
+
+    The Gram of y @ R^-T is y G^-1 y^T with G = R R^T, and D' = span(y) is
+    D^perp cap L*, so det(y G^-1 y^T) = det(D) / det(G) (Jacobi's
+    complementary-minor theorem). Hence, with r = len(y),
+    det(D) = det(y adj(G) y^T) / det(G)^(r-1), a division that must be
+    exact.
+    """
+    adj, det_g = lattice._dual_gram
+    z = [[sum(map(mul, yr, col)) for col in adj] for yr in y]  # adj = adj^T
+    num = intmat.bareiss_det([[sum(map(mul, zr, yr)) for yr in y]
+                              for zr in z])
+    d, rem = divmod(num, det_g ** (len(y) - 1))
+    if rem or d <= 0:
+        raise InvariantViolationError(
+            f"dual Gram determinant {num} is not a positive multiple of "
+            f"det(G)^{len(y) - 1} = {det_g ** (len(y) - 1)}")
+    return d
 
 
 def subgroup_covolume(lattice: Lattice, coords) -> float:

@@ -22,8 +22,11 @@ covolume is evaluated in exact arithmetic before any decision is made; the
 floating-point search radii only ever carry a small relative slack.
 
 Ranks k > n/2 are searched at rank n - k in the dual lattice, where the
-search is far cheaper (see _route); each dual candidate is mapped back to
-integer coordinates in the lattice before its covolume is evaluated.
+search is far cheaper (see _route). A dual candidate is decided in the
+dual's own coordinates, by the exact Gram determinant of the subgroup of
+the lattice it stands for (lattice.dual_gram_determinant); only the
+candidates a driver returns are mapped back to the lattice and
+canonicalised.
 
 exists_below tries the span of the leading k reduced rows first, at every
 rank: their exact Gram determinants, for all k at once, are the leading
@@ -50,13 +53,13 @@ from .lattice import (
     Lattice,
     _covolume,
     canonical_form,
+    dual_gram_determinant,
     exact_gram_determinant,
     subgroup_covolume,
 )
 from .reduction import dot, lll_rows
 
 SLACK = 1 + 1e-9
-TIE_RTOL = 1e-12
 
 
 class _Search(NodeCounter):
@@ -78,7 +81,7 @@ class _Search(NodeCounter):
 
 
 def _direct(rows):
-    return rows
+    return canonical_form(rows)
 
 
 def _check_rank(lattice: Lattice, k: int) -> int:
@@ -98,20 +101,33 @@ def _route(lattice: Lattice, k: int):
     Ranks above n/2 are searched at rank n - k in the dual L*:
     D -> D' = D^perp cap L* is a bijection of primitive subgroups with
     covol(D') = covol(D) / covol(L), so with scale covol(L) the search
-    threshold stays in L's units. The dual's floats only steer that search:
-    to_lattice maps each candidate back to integer coordinates in L, where
-    the drivers evaluate every covolume.
+    threshold stays in L's units. The dual's floats only steer that search;
+    the drivers decide each dual candidate y on the exact Gram determinant
+    of D = y^perp, dual_gram_determinant, with no map back to L.
+
+    to_lattice gives the canonical form in L of the subgroup a candidate
+    stands for: _direct on a direct route, where candidates are L's own
+    coordinates; on a dual route the integer kernel of y, mapped to L once
+    per distinct subgroup.
     """
     n = _check_rank(lattice, k)
     if 2 * k <= n or k == n:
         return lattice._reduced, k, 1.0, _direct
     u = lattice._reduced[1]
+    mapped: list[tuple[list, IntRows]] = []
 
     def to_lattice(rows):
         # candidates come in coordinates y in the dual basis R^-T of the
         # reduced rows R = u B, and x @ R is orthogonal to y @ R^-T iff
-        # x . y = 0
-        return intmat.matmul(intmat.kernel_rows(rows), u)
+        # x . y = 0; a kernel and y^perp are both primitive of rank k, so a
+        # candidate orthogonal to a kernel already mapped is its subgroup
+        for kernel, canon in mapped:
+            if not any(sum(map(mul, x, y)) for x in kernel for y in rows):
+                return canon
+        kernel = intmat.kernel_rows(rows)
+        canon = canonical_form(intmat.matmul(kernel, u))
+        mapped.append((kernel, canon))
+        return canon
 
     return lattice._dual_frame, n - k, lattice.covolume, to_lattice
 
@@ -181,38 +197,31 @@ def minimal_subgroup(lattice: Lattice, k: int,
     The returned coordinate matrix is the Hermite normal form of the
     minimizer, which is primitive by construction; among exact covolume
     ties the canonical matrix preferred by _tie_key wins.
+
+    Each candidate is decided on its exact Gram determinant d, a dual
+    candidate in the dual's coordinates. The tie band holds the candidates
+    whose d equals the least so far; only that band is canonicalised in L,
+    once per distinct subgroup on a dual route.
     """
     level, rank, scale, to_lattice = _route(lattice, k)
+    gram_det = (exact_gram_determinant if to_lattice is _direct
+                else dual_gram_determinant)
     search = _Search(float("inf"), budget, k, rank)
-    best_covol: float | None = None
-    band: list[tuple[float, list]] = []
+    best: int | None = None
+    band: list = []
     for rows in _candidates(level, rank, scale, search):
-        # the exact covolume does not depend on the generators, so only the
-        # candidates left in the final tie band are canonicalised
-        rows = to_lattice(rows)
-        covol = subgroup_covolume(lattice, rows)
-        if best_covol is None or covol < best_covol * (1 - TIE_RTOL):
-            best_covol = covol
-            band = [(covol, rows)]
-        elif covol <= best_covol * (1 + TIE_RTOL):
-            band.append((covol, rows))
-            best_covol = min(best_covol, covol)
+        d = gram_det(lattice, rows)
+        if best is None or d < best:
+            best, band = d, []
+        if d == best:
+            band.append(rows)
+        covol = _covolume(lattice, k, d)
         if covol * SLACK < search.threshold:
             search.threshold = covol * SLACK
-    if best_covol is None:
+    if best is None:
         raise AssertionError("subgroup search yielded no candidate")
-    ties = {canonical_form(rows): covol for covol, rows in band
-            if covol <= best_covol * (1 + TIE_RTOL)}
-    finalists = list(ties)
-    if len(finalists) > 1:
-        # resolve near-ties exactly on the integer Gram determinants; the
-        # covolume is monotone in the determinant, so every exact minimizer
-        # lies in the float band
-        exact = {c: exact_gram_determinant(lattice, c) for c in finalists}
-        dmin = min(exact.values())
-        finalists = [c for c in finalists if exact[c] == dmin]
-    winner = min(finalists, key=_tie_key)
-    return ties[winner], winner
+    winner = min({to_lattice(rows) for rows in band}, key=_tie_key)
+    return _covolume(lattice, k, best), winner
 
 
 def subgroups_within(lattice: Lattice, k: int, bound: float,
@@ -228,7 +237,13 @@ def subgroups_within(lattice: Lattice, k: int, bound: float,
     search = _Search(bound, budget, k, rank)
     found: dict[IntRows, float] = {}
     for rows in _candidates(level, rank, scale, search):
-        canon = canonical_form(to_lattice(rows))
+        if to_lattice is not _direct:
+            # decided in the dual; only a candidate within the bound is mapped
+            covol = _covolume(lattice, k, dual_gram_determinant(lattice, rows))
+            if covol <= bound:
+                found[to_lattice(rows)] = covol
+            continue
+        canon = canonical_form(rows)
         if canon in found:
             continue
         covol = subgroup_covolume(lattice, canon)
@@ -259,11 +274,12 @@ def exists_below(lattice: Lattice, k: int, bound: float,
     level, rank, scale, to_lattice = _route(lattice, k)
     search = _Search(bound, budget, k, rank)
     candidates = _candidates(level, rank, scale, search)
-    if to_lattice is _direct:
-        next(candidates)  # the leading k rows, refused above
     # every primitive subgroup below the threshold is a candidate of its own
-    # (completeness), so a candidate's own exact covolume decides
-    for rows in candidates:
-        if subgroup_covolume(lattice, to_lattice(rows)) < bound:
-            return True
-    return False
+    # (completeness), so a candidate's own exact covolume decides: a dual
+    # candidate's in the dual's coordinates, with no map back to L
+    if to_lattice is not _direct:
+        return any(_covolume(lattice, k, dual_gram_determinant(lattice, y))
+                   < bound for y in candidates)
+    next(candidates)  # the leading k rows, refused above
+    return any(subgroup_covolume(lattice, rows) < bound
+               for rows in candidates)

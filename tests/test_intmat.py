@@ -54,6 +54,20 @@ def test_leading_minors_refuse_an_indefinite_matrix():
         intmat.leading_minors([[1, 2], [2, 1]])
 
 
+@given(st.integers(1, 7).flatmap(square))
+@settings(max_examples=60)
+def test_spd_adjugate_is_the_adjugate(a):
+    # one fraction-free Gauss-Jordan pass against n^2 cofactor determinants
+    assume(intmat.bareiss_det(a) != 0)
+    g = intmat.gram(a)
+    assert intmat.spd_adjugate(g) == intmat.adjugate(g)
+
+
+def test_spd_adjugate_refuses_an_indefinite_matrix():
+    with pytest.raises(ValueError, match="not positive definite"):
+        intmat.spd_adjugate([[1, 2], [2, 1]])
+
+
 def _random_unimodular(rng, n):
     u = np.eye(n, dtype=int)
     for _ in range(3 * n):

@@ -12,7 +12,7 @@ import pytest
 from latstab import (Lattice, intmat, lattice, reduction, stability,
                      subgroups)
 from latstab.enumeration import DEFAULT_BUDGET
-from latstab.errors import BudgetExceededError
+from latstab.errors import BudgetExceededError, InvariantViolationError
 from latstab.lattice import saturation_index
 from conftest import random_unimodular
 
@@ -35,19 +35,24 @@ def _direct_candidates(lat, k, bound):
 
 def test_candidates_are_primitive_by_construction(monkeypatch):
     # every candidate of a fixed, a shrinking and an early-exit threshold
-    # reaches the drivers' exact covolume with saturation index 1 (in
-    # subgroups_within as its HNF, once per subgroup), so its HNF is the
-    # canonical basis of its saturation; at k > n/2 on exact lattices those
-    # candidates come back from the dual, and the direct search's are
-    # checked as well
+    # reaches the drivers' exact evaluation with saturation index 1 (in
+    # subgroups_within on a direct route as its HNF, once per subgroup), so
+    # its HNF is the canonical basis of its saturation; at k > n/2 the
+    # candidates are the dual's, checked in the dual's coordinates, where
+    # primitivity makes dual_gram_determinant the determinant of y^perp, and
+    # the direct search's are checked as well
     indices = []
-    real = subgroups.subgroup_covolume
 
-    def checked(lat, rows):
-        indices.append(saturation_index(rows))
-        return real(lat, rows)
+    def checked(real):
+        def evaluate(lat, rows):
+            indices.append(saturation_index(rows))
+            return real(lat, rows)
+        return evaluate
 
-    monkeypatch.setattr(subgroups, "subgroup_covolume", checked)
+    for name in ("subgroup_covolume", "exact_gram_determinant",
+                 "dual_gram_determinant"):
+        monkeypatch.setattr(subgroups, name,
+                            checked(getattr(subgroups, name)))
     for lat in _lattices(8):
         for k in range(1, lat.dim + 1):
             subgroups.subgroups_within(lat, k, 1.3)
@@ -301,6 +306,79 @@ def test_low_ranks_build_no_dual_frame(monkeypatch):
         subgroups.minimal_subgroup(lat, k)
     assert "_dual_frame" not in vars(lat)
     assert {k for _, k in calls} <= {1, 2, 3}
+
+
+def test_dual_candidates_are_decided_in_the_dual(monkeypatch):
+    # every dual candidate the minimum and the stability decision evaluate
+    # gets from dual_gram_determinant the exact Gram determinant on L of the
+    # subgroup it stands for: its integer kernel, mapped to L by the
+    # reduction transform; r = n - k runs 1..3
+    ranks = []
+    real = lattice.dual_gram_determinant
+
+    def checked(lat, y):
+        x = intmat.matmul(intmat.kernel_rows(y), lat._reduced[1])
+        d = real(lat, y)
+        assert d == lattice.exact_gram_determinant(lat, x), (lat.basis, y)
+        ranks.append(len(y))
+        return d
+
+    monkeypatch.setattr(subgroups, "dual_gram_determinant", checked)
+    for n in range(3, 9):
+        lats = list(_routed_lattices(n))
+        if n >= 6:
+            lats.append(random_unimodular(n, seed=47, stream=0,
+                                          kind="gaussian_baseline"))
+        for lat in lats:
+            for k in range(n // 2 + 1, n):
+                subgroups.minimal_subgroup(lat, k)
+                subgroups.exists_below(lat, k, stability._stable_bound(k))
+    assert set(ranks) == {1, 2, 3}
+    assert len(ranks) > 1000
+
+
+def test_inexact_dual_determinant_is_an_invariant_error():
+    # a quotient by det(G)^(r-1) that leaves a remainder is never floored
+    lat = random_unimodular(4, seed=47, stream=0)
+    adj, det = lat._dual_gram
+    vars(lat)["_dual_gram"] = (adj, det + 1)
+    with pytest.raises(InvariantViolationError, match="not a positive"):
+        lattice.dual_gram_determinant(lat, [[1, 0, 0, 0], [0, 1, 0, 0]])
+
+
+def test_dual_route_maps_only_what_it_returns(monkeypatch):
+    # exists_below decides every dual candidate with no kernel; the minimum
+    # maps one kernel per distinct subgroup of its final band (one on a
+    # generic gm lattice), subgroups_within one per subgroup within its bound
+    calls = []
+    real = intmat.kernel_rows
+
+    def spy(rows):
+        calls.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(intmat, "kernel_rows", spy)
+
+    def mapped(lat, k):
+        calls.clear()
+        m = subgroups.minimal_subgroup(lat, k)[0]
+        band = len(calls)
+        calls.clear()
+        assert len(subgroups.subgroups_within(lat, k, m)) == len(calls) == band
+        calls.clear()
+        for bound in (m, math.nextafter(m, math.inf)):
+            subgroups.exists_below(lat, k, bound)
+        assert calls == []
+        return band
+
+    for n in (4, 5, 6):
+        ks = range(n // 2 + 1, n)
+        gm = random_unimodular(n, seed=47, stream=0)
+        assert [mapped(gm, k) for k in ks] == [1] * len(ks)
+        ties = [mapped(lat, k) for k in ks
+                for lat in (Lattice.identity(n), _scaled(_d_n(n)),
+                            _scaled(_a_n_plus_ones(n)))]
+        assert min(ties) >= 1 and max(ties) > 1
 
 
 # -- exists_below tries the leading reduced rows first --------------------------
