@@ -38,6 +38,7 @@ from .errors import DegenerateBasisError
 from .intmat import IntMatrix, identity, matmul
 
 DEFAULT_DELTA = 0.99
+_ETA = 0.5 + 1e-9  # size-reduce only |mu| > _ETA, as L^2's eta > 1/2
 _ROW_PASSES = 32  # Gram-Schmidt passes over one row in one LLL stage
 
 
@@ -99,7 +100,8 @@ class Frame(NamedTuple):
 
 
 def lll_rows(rows) -> tuple[Frame, IntMatrix]:
-    """LLL-reduce the given basis rows at delta = DEFAULT_DELTA.
+    """LLL-reduce the given basis rows at delta = DEFAULT_DELTA, leaving
+    |mu| <= _ETA: a float mu on a tie at 1/2 can flip sign on every pass.
 
     Returns (frame, transform): the Gram-Schmidt frame of the reduced rows
     and the integer unimodular matrix U with frame.rows == U @ rows. Raises
@@ -133,7 +135,7 @@ def lll_rows(rows) -> tuple[Frame, IntMatrix]:
             bk, uk, muk = b[k], u[k], mu[k]
             large = False
             for j in range(k - 1, -1, -1):
-                q = round(muk[j])
+                q = round(muk[j]) if abs(muk[j]) > _ETA else 0
                 if q:
                     large = large or abs(q) > 1
                     bj, uj, muj = b[j], u[j], mu[j]

@@ -22,11 +22,11 @@ covolume is evaluated in exact arithmetic before any decision is made; the
 floating-point search radii only ever carry a small relative slack.
 
 Ranks k > n/2 are searched at rank n - k in the dual lattice, where the
-search is far cheaper (see _route). A dual candidate is decided in the
-dual's own coordinates, by the exact Gram determinant of the subgroup of
-the lattice it stands for (lattice.dual_gram_determinant); only the
-candidates a driver returns are mapped back to the lattice and
-canonicalised.
+search is far cheaper (see _route). The route hands each driver the exact
+Gram determinant of the subgroup a candidate stands for, in the
+candidate's own coordinates (lattice.dual_gram_determinant for a dual
+candidate), and the map to its canonical form in the lattice, so each
+driver has one candidate loop on both routes.
 
 exists_below tries the span of the leading k reduced rows first, at every
 rank: their exact Gram determinants, for all k at once, are the leading
@@ -55,7 +55,6 @@ from .lattice import (
     canonical_form,
     dual_gram_determinant,
     exact_gram_determinant,
-    subgroup_covolume,
 )
 from .reduction import dot, lll_rows
 
@@ -80,10 +79,6 @@ class _Search(NodeCounter):
                 f"{self.rank} on {where}, threshold {self.threshold:.12g}")
 
 
-def _direct(rows):
-    return canonical_form(rows)
-
-
 def _check_rank(lattice: Lattice, k: int) -> int:
     n = lattice.dim
     if not 1 <= k <= n:
@@ -92,7 +87,8 @@ def _check_rank(lattice: Lattice, k: int) -> int:
 
 
 def _route(lattice: Lattice, k: int):
-    """(level, rank, scale, to_lattice) of the search for rank-k subgroups.
+    """(level, rank, scale, gram_det, to_lattice) of the search for rank-k
+    subgroups.
 
     A level is a (frame, lift) pair: the Gram-Schmidt frame of LLL-reduced
     float rows in R^n (projected below the top level), and the integer lift
@@ -101,18 +97,20 @@ def _route(lattice: Lattice, k: int):
     Ranks above n/2 are searched at rank n - k in the dual L*:
     D -> D' = D^perp cap L* is a bijection of primitive subgroups with
     covol(D') = covol(D) / covol(L), so with scale covol(L) the search
-    threshold stays in L's units. The dual's floats only steer that search;
-    the drivers decide each dual candidate y on the exact Gram determinant
-    of D = y^perp, dual_gram_determinant, with no map back to L.
+    threshold stays in L's units. The dual's floats only steer that search.
 
-    to_lattice gives the canonical form in L of the subgroup a candidate
-    stands for: _direct on a direct route, where candidates are L's own
-    coordinates; on a dual route the integer kernel of y, mapped to L once
-    per distinct subgroup.
+    gram_det(lattice, rows) is the exact Gram determinant, on L's exact
+    form, of the subgroup a candidate stands for: exact_gram_determinant of
+    L's own coordinates on a direct route, dual_gram_determinant of D =
+    y^perp on a dual route, with no map back to L. to_lattice gives that
+    subgroup's canonical form in L: canonical_form on a direct route; on a
+    dual route the integer kernel of y, mapped to L once per distinct
+    subgroup.
     """
     n = _check_rank(lattice, k)
     if 2 * k <= n or k == n:
-        return lattice._reduced, k, 1.0, _direct
+        return (lattice._reduced, k, 1.0, exact_gram_determinant,
+                canonical_form)
     u = lattice._reduced[1]
     mapped: list[tuple[list, IntRows]] = []
 
@@ -129,7 +127,8 @@ def _route(lattice: Lattice, k: int):
         mapped.append((kernel, canon))
         return canon
 
-    return lattice._dual_frame, n - k, lattice.covolume, to_lattice
+    return (lattice._dual_frame, n - k, lattice.covolume,
+            dual_gram_determinant, to_lattice)
 
 
 def _project(rows, lift, x):
@@ -158,15 +157,13 @@ def _candidates(level, k: int, scale: float, search: _Search):
     """Yield generator row lists (ambient integer coords) of candidate
     subgroups with covolume below roughly search.threshold.
 
-    The first yield of each level is the span of the leading reduced rows,
-    which gives the drivers a cheap valid witness and, in minimization mode,
-    an immediate upper bound before any radius is computed. exists_below
-    has decided that span already, and skips it on a direct route.
+    Every primitive subgroup below the threshold is yielded, by the two
+    facts above. Nothing is yielded outside the enumeration but a whole
+    level, the only primitive rank-m subgroup of a rank-m lattice.
     """
     frame, lift = level
-    yield list(lift[:k])
     if k == len(lift):
-        # the only primitive rank-m subgroup of a rank-m lattice is itself
+        yield list(lift)
         return
     bound = sqrt(hermite_upper(k))
     radius = bound * (search.threshold / scale) ** (1.0 / k) * SLACK
@@ -198,28 +195,26 @@ def minimal_subgroup(lattice: Lattice, k: int,
     minimizer, which is primitive by construction; among exact covolume
     ties the canonical matrix preferred by _tie_key wins.
 
-    Each candidate is decided on its exact Gram determinant d, a dual
-    candidate in the dual's coordinates. The tie band holds the candidates
-    whose d equals the least so far; only that band is canonicalised in L,
-    once per distinct subgroup on a dual route.
+    The span of the route's leading reduced rows seeds the least exact Gram
+    determinant d and the threshold. Each candidate is decided on its own
+    exact d. The tie band holds the candidates whose d equals the least so
+    far; only that band is canonicalised in L, once per distinct subgroup
+    on a dual route.
     """
-    level, rank, scale, to_lattice = _route(lattice, k)
-    gram_det = (exact_gram_determinant if to_lattice is _direct
-                else dual_gram_determinant)
-    search = _Search(float("inf"), budget, k, rank)
-    best: int | None = None
-    band: list = []
+    level, rank, scale, gram_det, to_lattice = _route(lattice, k)
+    first = list(level[1][:rank])
+    best = gram_det(lattice, first)
+    band = [first]
+    search = _Search(_covolume(lattice, k, best) * SLACK, budget, k, rank)
     for rows in _candidates(level, rank, scale, search):
         d = gram_det(lattice, rows)
-        if best is None or d < best:
+        if d < best:
             best, band = d, []
         if d == best:
             band.append(rows)
         covol = _covolume(lattice, k, d)
         if covol * SLACK < search.threshold:
             search.threshold = covol * SLACK
-    if best is None:
-        raise AssertionError("subgroup search yielded no candidate")
     winner = min({to_lattice(rows) for rows in band}, key=_tie_key)
     return _covolume(lattice, k, best), winner
 
@@ -229,28 +224,23 @@ def subgroups_within(lattice: Lattice, k: int, bound: float,
     """All primitive rank-k subgroups with covolume <= bound.
 
     Returns (covolume, canonical coords) pairs sorted by covolume then by
-    coordinate matrix, deduplicated on the canonical form.
+    coordinate matrix, deduplicated on the canonical form. Each candidate
+    is canonicalised first, and each subgroup's exact determinant evaluated
+    once: the search reaches a subgroup many times, and no candidate lies
+    above the bound by more than the slack, so deciding first would
+    canonicalise nearly every candidate anyway.
     """
-    level, rank, scale, to_lattice = _route(lattice, k)
+    _check_rank(lattice, k)
     if not bound > 0:
         raise ValueError("bound must be positive")
+    level, rank, scale, gram_det, to_lattice = _route(lattice, k)
     search = _Search(bound, budget, k, rank)
     found: dict[IntRows, float] = {}
     for rows in _candidates(level, rank, scale, search):
-        if to_lattice is not _direct:
-            # decided in the dual; only a candidate within the bound is mapped
-            covol = _covolume(lattice, k, dual_gram_determinant(lattice, rows))
-            if covol <= bound:
-                found[to_lattice(rows)] = covol
-            continue
-        canon = canonical_form(rows)
-        if canon in found:
-            continue
-        covol = subgroup_covolume(lattice, canon)
-        if covol <= bound:
-            found[canon] = covol
-    return sorted(((v, c) for c, v in found.items()),
-                  key=lambda item: (item[0], item[1]))
+        canon = to_lattice(rows)
+        if canon not in found:
+            found[canon] = _covolume(lattice, k, gram_det(lattice, rows))
+    return sorted((v, c) for c, v in found.items() if v <= bound)
 
 
 def exists_below(lattice: Lattice, k: int, bound: float,
@@ -262,7 +252,8 @@ def exists_below(lattice: Lattice, k: int, bound: float,
     cheaper than computing the minimum itself. The span of the leading k
     reduced rows is tried first, at every rank and before any routing: a
     rank it decides builds no dual frame, runs no search and spends no
-    node of the budget.
+    node of the budget. A rank it leaves open is decided by the search's
+    candidates alone, on either route.
     """
     _check_rank(lattice, k)
     if not bound > 0:
@@ -271,15 +262,9 @@ def exists_below(lattice: Lattice, k: int, bound: float,
     # complete search would reach with the same float of the same exact d
     if _covolume(lattice, k, lattice._leading_dets[k - 1]) < bound:
         return True
-    level, rank, scale, to_lattice = _route(lattice, k)
+    level, rank, scale, gram_det, _ = _route(lattice, k)
     search = _Search(bound, budget, k, rank)
-    candidates = _candidates(level, rank, scale, search)
     # every primitive subgroup below the threshold is a candidate of its own
-    # (completeness), so a candidate's own exact covolume decides: a dual
-    # candidate's in the dual's coordinates, with no map back to L
-    if to_lattice is not _direct:
-        return any(_covolume(lattice, k, dual_gram_determinant(lattice, y))
-                   < bound for y in candidates)
-    next(candidates)  # the leading k rows, refused above
-    return any(subgroup_covolume(lattice, rows) < bound
-               for rows in candidates)
+    # (completeness), so a candidate's own exact covolume decides
+    return any(_covolume(lattice, k, gram_det(lattice, rows)) < bound
+               for rows in _candidates(level, rank, scale, search))

@@ -18,7 +18,7 @@ from latstab import Lattice, lll_reduce, subgroup_covolume
 from latstab.constants import hermite_upper
 from latstab.errors import DegenerateBasisError
 from latstab.intmat import IntMatrix, bareiss_det, identity, row_rank
-from latstab.reduction import _ROW_PASSES, DEFAULT_DELTA, Frame, dot
+from latstab.reduction import _ETA, _ROW_PASSES, DEFAULT_DELTA, Frame, dot
 
 
 def box_coords(n: int, radius: int) -> np.ndarray:
@@ -269,7 +269,7 @@ def reference_lll_rows(rows, delta: float = DEFAULT_DELTA
             bk, uk, muk = b[k], u[k], mu[k]
             large = False
             for j in range(k - 1, -1, -1):
-                q = round(muk[j])
+                q = round(muk[j]) if abs(muk[j]) > _ETA else 0
                 if q:
                     large = large or abs(q) > 1
                     bj, uj, muj = b[j], u[j], mu[j]

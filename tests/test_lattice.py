@@ -272,6 +272,47 @@ def test_lll_row_passes_are_bounded(monkeypatch):
         lll_rows(rows)
 
 
+# the rows one projection of a rank-5 search on a scaled A_7-plus-ones lattice
+# handed to LLL: row 5's mu reads about +-(1/3, 1/5, 1/4, 1/3, 1/2), its
+# sign flips on each size-reduction pass, and a rounding of every |mu| > 1/2
+# cycled until the passes ran out
+_TIE_ROWS = [
+    ["-0x1.4bfdad5362a26p-3", "-0x1.4bfdad5362a26p-3",
+     "-0x1.4bfdad5362a26p-3", "-0x1.4bfdad5362a26p-3",
+     "-0x1.4bfdad5362a26p-3", "-0x1.4bfdad5362a26p-3",
+     "0x1.f1fc83fd13f3cp-2", "0x1.f1fc83fd13f3ap-2"],
+    ["0x1.4bfdad5362a29p-3", "0x1.4bfdad5362a29p-3",
+     "0x1.4bfdad5362a29p-3", "0x1.4bfdad5362a29p-3",
+     "0x1.4bfdad5362a29p-3", "-0x1.227df7a8f64e3p+0",
+     "0x1.4bfdad5362a29p-3", "0x1.4bfdad5362a26p-3"],
+    ["0x1.4bfdad5362a26p-3", "0x1.4bfdad5362a26p-3",
+     "0x1.4bfdad5362a26p-3", "0x1.4bfdad5362a26p-3",
+     "-0x1.227df7a8f64e2p+0", "0x1.4bfdad5362a28p-3",
+     "0x1.4bfdad5362a29p-3", "0x1.4bfdad5362a26p-3"],
+    ["0x1.4bfdad5362a28p-3", "0x1.4bfdad5362a28p-3",
+     "0x1.4bfdad5362a28p-3", "-0x1.227df7a8f64e2p+0",
+     "0x1.4bfdad5362a26p-3", "0x1.4bfdad5362a28p-3",
+     "0x1.4bfdad5362a28p-3", "0x1.4bfdad5362a26p-3"],
+    ["0x1.4bfdad5362a27p-3", "0x1.4bfdad5362a27p-3",
+     "-0x1.227df7a8f64e3p+0", "0x1.4bfdad5362a27p-3",
+     "0x1.4bfdad5362a29p-3", "0x1.4bfdad5362a29p-3",
+     "0x1.4bfdad5362a2ap-3", "0x1.4bfdad5362a28p-3"],
+    ["0x1.227df7a8f64e2p+0", "-0x1.4bfdad5362a24p-3",
+     "-0x1.4bfdad5362a2cp-3", "-0x1.4bfdad5362a2cp-3",
+     "-0x1.4bfdad5362a24p-3", "-0x1.4bfdad5362a28p-3",
+     "-0x1.4bfdad5362a29p-3", "-0x1.4bfdad5362a28p-3"]]
+
+
+def test_lll_size_reduction_leaves_a_tie_at_one_half():
+    rows = [[float.fromhex(x) for x in r] for r in _TIE_ROWS]
+    frame, u = lll_rows(rows)
+    assert abs(intmat.bareiss_det(u)) == 1
+    top = max(abs(x) for i, r in enumerate(frame.mu) for x in r[:i])
+    assert 0.5 < top <= reduction._ETA
+    assert np.allclose(np.array(u, dtype=float) @ np.array(rows),
+                       frame.rows, atol=1e-12)
+
+
 @pytest.mark.parametrize("kind", ["goldstein_mayer", "gaussian_baseline"])
 def test_lll_hands_down_a_current_frame(kind):
     # the frame LLL keeps up to date through its size reductions agrees
@@ -711,15 +752,15 @@ def test_exact_gram_determinant_matches_the_reference_on_random_rows():
 
 def test_exact_gram_determinant_matches_the_reference_on_search_rows(
         monkeypatch):
-    # every coordinate set the three drivers hand to subgroup_covolume
+    # every coordinate set the three drivers decide on a direct route
     seen = []
-    real = subgroups.subgroup_covolume
+    real = subgroups.exact_gram_determinant
 
     def spy(lat, rows):
         seen.append((lat, rows))
         return real(lat, rows)
 
-    monkeypatch.setattr(subgroups, "subgroup_covolume", spy)
+    monkeypatch.setattr(subgroups, "exact_gram_determinant", spy)
     for lat in _determinant_lattices():
         for k in range(1, lat.dim + 1):
             subgroups.minimal_subgroup(lat, k)

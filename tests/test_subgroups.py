@@ -35,12 +35,11 @@ def _direct_candidates(lat, k, bound):
 
 def test_candidates_are_primitive_by_construction(monkeypatch):
     # every candidate of a fixed, a shrinking and an early-exit threshold
-    # reaches the drivers' exact evaluation with saturation index 1 (in
-    # subgroups_within on a direct route as its HNF, once per subgroup), so
-    # its HNF is the canonical basis of its saturation; at k > n/2 the
-    # candidates are the dual's, checked in the dual's coordinates, where
-    # primitivity makes dual_gram_determinant the determinant of y^perp, and
-    # the direct search's are checked as well
+    # reaches the drivers' exact evaluation, or subgroups_within's canonical
+    # form, with saturation index 1, so its HNF is the canonical basis of
+    # its saturation; at k > n/2 the candidates are the dual's, checked in
+    # the dual's coordinates, where primitivity makes dual_gram_determinant
+    # the determinant of y^perp, and the direct search's are checked as well
     indices = []
 
     def checked(real):
@@ -49,10 +48,16 @@ def test_candidates_are_primitive_by_construction(monkeypatch):
             return real(lat, rows)
         return evaluate
 
-    for name in ("subgroup_covolume", "exact_gram_determinant",
-                 "dual_gram_determinant"):
+    for name in ("exact_gram_determinant", "dual_gram_determinant"):
         monkeypatch.setattr(subgroups, name,
                             checked(getattr(subgroups, name)))
+    real_canonical = subgroups.canonical_form
+
+    def canonical(rows):
+        indices.append(saturation_index(rows))
+        return real_canonical(rows)
+
+    monkeypatch.setattr(subgroups, "canonical_form", canonical)
     for lat in _lattices(8):
         for k in range(1, lat.dim + 1):
             subgroups.subgroups_within(lat, k, 1.3)
@@ -257,7 +262,8 @@ def _driver_results(lat, k):
 
 
 def _direct_route(lat, k):
-    return lat._reduced, k, 1.0, subgroups._direct
+    return (lat._reduced, k, 1.0, lattice.exact_gram_determinant,
+            lattice.canonical_form)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -290,7 +296,7 @@ def test_rank_n_minus_1_runs_at_rank_1_in_the_dual(monkeypatch):
     # rows decide nothing and the search runs
     calls = _spy_candidates(monkeypatch)
     lat = random_unimodular(6, seed=53, stream=0)
-    own = subgroups.subgroup_covolume(lat, lat._reduced[1][:5])
+    own = lattice.subgroup_covolume(lat, lat._reduced[1][:5])
     subgroups.exists_below(lat, 5, own)
     ((level, k),) = calls
     assert k == 1
@@ -349,7 +355,8 @@ def test_inexact_dual_determinant_is_an_invariant_error():
 def test_dual_route_maps_only_what_it_returns(monkeypatch):
     # exists_below decides every dual candidate with no kernel; the minimum
     # maps one kernel per distinct subgroup of its final band (one on a
-    # generic gm lattice), subgroups_within one per subgroup within its bound
+    # generic gm lattice), subgroups_within one per subgroup it reaches, at
+    # the minimum's own bound the subgroups it returns
     calls = []
     real = intmat.kernel_rows
 
@@ -410,7 +417,7 @@ def test_witness_agrees_with_the_search_alone():
         u = lat._reduced[1]
         for k in range(1, lat.dim + 1):
             m = subgroups.minimal_subgroup(lat, k)[0]
-            own = subgroups.subgroup_covolume(lat, u[:k])
+            own = lattice.subgroup_covolume(lat, u[:k])
             for bound in (1.0, (1 - 1e-12) ** k, own,
                           math.nextafter(own, math.inf)):
                 decided[own < bound] += 1
@@ -428,38 +435,51 @@ def test_witnessed_rank_runs_no_search(monkeypatch):
     assert "_dual_frame" not in vars(lat)
 
 
-def test_direct_route_evaluates_the_leading_rows_once(monkeypatch):
-    # on a direct route the leading rows are the search's first candidate;
-    # once their leading determinant has refused them, the exact covolumes
-    # evaluated are the search's other candidates, in order
+def test_exists_below_evaluates_exactly_the_search_candidates(monkeypatch):
+    # once the leading rows' determinant has refused the bound, the exact
+    # determinants evaluated are the search's candidates, in order, on both
+    # routes, and all of them when the answer is False; no candidate lies
+    # above the bound by more than the slack, so leading rows refused by
+    # more than that are never evaluated again
     calls = []
-    real = lattice.exact_gram_determinant
 
-    def spy(lat, coords):
-        calls.append([list(r) for r in coords])
-        return real(lat, coords)
+    def spy(real):
+        def evaluate(lat, rows):
+            calls.append([list(r) for r in rows])
+            return real(lat, rows)
+        return evaluate
 
-    monkeypatch.setattr(lattice, "exact_gram_determinant", spy)
+    for name in ("exact_gram_determinant", "dual_gram_determinant"):
+        monkeypatch.setattr(subgroups, name, spy(getattr(subgroups, name)))
     outcomes = {True: 0, False: 0}
+    routes = set()
+    refused = 0
     for kind, n, stream in itertools.product(KINDS, range(2, 9), range(16)):
         lat = random_unimodular(n, seed=61, stream=stream, kind=kind)
-        for k in [*range(1, n // 2 + 1), n]:
+        for k in range(1, n + 1):
             own = lattice._covolume(lat, k, lat._leading_dets[k - 1])
             m = subgroups.minimal_subgroup(lat, k)[0]
             for bound in (stability._stable_bound(k), own,
                           math.nextafter(m, math.inf)):
                 if own < bound:
                     continue
-                cands = [[list(r) for r in rows]
-                         for rows in _direct_candidates(lat, k, bound)]
-                assert cands[0] == [list(r) for r in lat._reduced[1][:k]]
+                level, rank, scale, _, _ = subgroups._route(lat, k)
+                search = subgroups._Search(bound, DEFAULT_BUDGET, k, rank)
+                cands = [[list(r) for r in rows] for rows in
+                         subgroups._candidates(level, rank, scale, search)]
                 calls.clear()
                 found = subgroups.exists_below(lat, k, bound)
-                assert calls == cands[1:len(calls) + 1]
+                assert calls == cands[:len(calls)], (lat.basis, k, bound)
                 if not found:
-                    assert len(calls) == len(cands) - 1
+                    assert calls == cands
+                if rank == k and own > bound * subgroups.SLACK ** 2:
+                    lead = [list(r) for r in lat._reduced[1][:k]]
+                    assert lead not in calls
+                    refused += 1
                 outcomes[found] += 1
+                routes.add(rank == k)
     assert outcomes[True] >= 10 and outcomes[False] > 300
+    assert routes == {True, False} and refused > 50
 
 
 def test_witnessed_lattice_builds_no_frame(monkeypatch):
@@ -502,6 +522,14 @@ def test_search_decides_at_its_own_minimum():
     m = subgroups.minimal_subgroup(lat, 1)[0]
     assert m == 0.9968770621209389
     assert subgroups.exists_below(lat, 1, math.nextafter(m, math.inf))
+
+
+def test_bad_bound_is_refused_before_any_frame_is_built():
+    # subgroups_within checks its bound before routing, as exists_below does
+    lat = Lattice.identity(4)
+    with pytest.raises(ValueError, match="bound must be positive"):
+        subgroups.subgroups_within(lat, 3, 0.0)
+    assert not {"_integral", "_reduced", "_dual_frame"} & set(vars(lat))
 
 
 def test_rank_out_of_range_is_refused_before_the_bound():
