@@ -78,29 +78,6 @@ def bareiss_det(mat) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def leading_minors(g) -> list[int]:
-    """Leading principal minors det g[:k, :k], k = 1..n, of a symmetric
-    positive-definite integer matrix: the pivots of fraction-free
-    elimination. Every pivot is such a minor, hence positive, so no row is
-    exchanged; each trailing block stays symmetric, so only its upper
-    triangle is updated."""
-    a = copy_matrix(g)
-    n = len(a)
-    prev = 1
-    for i in range(n):
-        row_i = a[i]
-        piv = row_i[i]
-        if piv <= 0:
-            raise ValueError("matrix is not positive definite")
-        for r in range(i + 1, n):
-            row_r = a[r]
-            air = row_i[r]
-            for c in range(r, n):
-                row_r[c] = (row_r[c] * piv - air * row_i[c]) // prev
-        prev = piv
-    return [a[i][i] for i in range(n)]
-
-
 def spd_adjugate(g) -> tuple[IntMatrix, int]:
     """Return (adj, det) of a symmetric positive-definite integer matrix by
     one fraction-free Gauss-Jordan pass over [g | I], which ends as

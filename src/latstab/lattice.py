@@ -4,9 +4,12 @@ A Lattice is a full-rank lattice in R^n given by basis rows. Every lattice
 has an exact form: an integer matrix M and a positive scale s with
 basis == s * M. The samplers and integer lattice files declare one; for any
 other basis the form is dyadic, since every finite float is an integer
-times a power of two. All covolumes are evaluated in exact integer
-arithmetic; floating point is used only for norms, Gram-Schmidt data and
-enumeration pruning.
+times a power of two. Construction refuses a basis whose exact form is
+singular. Every lattice is reduced once, by integral LLL of M, and all
+covolumes are evaluated in exact integer arithmetic; floating point is used
+only for norms, Gram-Schmidt data, enumeration pruning and the
+closest-vector search, whose float LLL of the raw rows is the one place a
+basis must be well conditioned.
 """
 
 from __future__ import annotations
@@ -56,12 +59,6 @@ class Lattice:
             raise ValueError("ambient dimension must be at least 2")
         if not np.all(np.isfinite(b)):
             raise DegenerateBasisError("basis contains non-finite entries")
-        # the 2-norm condition number s[0] / s[-1], as np.linalg.cond takes it
-        s = np.linalg.svd(b, compute_uv=False).tolist()
-        if not s[-1] > 0 or s[0] / s[-1] > CONDITION_LIMIT:
-            raise DegenerateBasisError(
-                "basis condition number exceeds 1e12; reduce or rescale first"
-            )
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
         if self.exact_basis is not None:
@@ -75,8 +72,9 @@ class Lattice:
                 [[float(x) for x in row] for row in m]
             )
             ref = np.abs(approx).max()
-            if ref == 0 or np.abs(approx - b).max() > EXACT_FORM_RTOL * ref:
+            if np.abs(approx - b).max() > EXACT_FORM_RTOL * ref:
                 raise ValueError("basis and exact form disagree")
+        self.covolume  # refuses a singular exact form
 
     # -- constructors ------------------------------------------------------
 
@@ -143,49 +141,38 @@ class Lattice:
 
     @cached_property
     def _integral(self) -> IntegralLLL:
-        """Integral LLL of the declared exact form M: U M, U and the exact
-        Gram-Schmidt data of U M. The one reduction of a declared form."""
-        return lll_integral(self.exact_basis)
+        """Integral LLL of the exact form M: U M, U and the exact
+        Gram-Schmidt data of U M. The one reduction of every lattice; d[k]
+        is the exact Gram determinant of the span of the leading k reduced
+        rows."""
+        return lll_integral(self._exact[0])
 
     @cached_property
     def _reduced(self) -> tuple[Frame, IntRows]:
         """Gram-Schmidt frame of the LLL-reduced basis rows R, and the
-        transform u with R = u @ basis. A declared exact form (M, s) is
-        reduced in integers, and the frame of s * (U M) is read off that
-        reduction's exact data (integral_frame): float LLL of the raw gm
-        basis (condition number about p) left norms off by up to 1.5e-7
-        relative. A float basis keeps the float LLL, _cvp_frame. Built only
-        when read: a lattice whose every rank the leading rows decide needs
-        no frame."""
-        if self.exact_basis is None:
-            return self._cvp_frame
+        transform u with R = u @ basis. The exact form (M, s) is reduced in
+        integers, and the frame of s * (U M) is read off that reduction's
+        exact data (integral_frame): float LLL of the raw gm basis
+        (condition number about p) left norms off by up to 1.5e-7
+        relative. Built only when read: a lattice whose every rank the
+        leading rows decide needs no frame."""
         lll = self._integral
-        return integral_frame(lll, self.scale), _freeze_rows(lll.transform)
-
-    @cached_property
-    def _leading_dets(self) -> list[int]:
-        """Exact Gram determinants of the spans of the leading k reduced
-        rows u[:k], k = 1..n. A declared form's are the integral LLL's own
-        d[1..n]; a float basis's are the leading principal minors of the
-        Gram of u M, from one elimination."""
-        if self.exact_basis is not None:
-            return self._integral.d[1:]
-        return intmat.leading_minors(self._reduced_gram)
-
-    @cached_property
-    def _reduced_gram(self) -> list[list[int]]:
-        """Integer Gram G = R R^T of the reduced rows R = u M; a declared
-        form's R are its integral LLL's rows."""
-        if self.exact_basis is not None:
-            return intmat.gram(self._integral.rows)
-        return intmat.gram(intmat.matmul(self._reduced[1], self._exact[0]))
+        frame = integral_frame(lll, self._exact[1])
+        return frame, _freeze_rows(lll.transform)
 
     @cached_property
     def _cvp_frame(self) -> tuple[Frame, IntRows]:
-        """_reduced by float LLL of the basis rows, the CVP path's frame. On
-        a declared form it is the only float LLL of the raw rows left: it is
-        kept beside _reduced, since covrad's printed distances depend on its
-        bits and its pinned outputs were taken on it."""
+        """_reduced by float LLL of the basis rows, the CVP path's frame and
+        the only float LLL of raw rows left: it is kept beside _reduced,
+        since covrad's printed distances depend on its bits and its pinned
+        outputs were taken on it. It alone needs a well-conditioned basis,
+        so it alone refuses one whose 2-norm condition number exceeds
+        CONDITION_LIMIT."""
+        s = np.linalg.svd(self.basis, compute_uv=False).tolist()
+        if not s[-1] > 0 or s[0] / s[-1] > CONDITION_LIMIT:
+            raise DegenerateBasisError(
+                "basis condition number exceeds 1e12; reduce or rescale first"
+            )
         frame, u = lll_rows(self._rows)
         return frame, _freeze_rows(u)
 
@@ -214,11 +201,11 @@ class Lattice:
 
     @cached_property
     def _dual_gram(self) -> tuple[list[list[int]], int]:
-        """(adj G, det G) of _reduced_gram G: the dual basis R^-T, in whose
-        coordinates the dual frame's candidates come, has Gram
-        G^-1 = adj G / det G. One fraction-free Gauss-Jordan pass, built on
-        the first dual candidate."""
-        return intmat.spd_adjugate(self._reduced_gram)
+        """(adj G, det G) of the integer Gram G = R R^T of the reduced rows
+        R = u M: the dual basis R^-T, in whose coordinates the dual frame's
+        candidates come, has Gram G^-1 = adj G / det G. One fraction-free
+        Gauss-Jordan pass, built on the first dual candidate."""
+        return intmat.spd_adjugate(intmat.gram(self._integral.rows))
 
     @cached_property
     def _reduced_inverse(self) -> IntRows:
@@ -266,8 +253,7 @@ def dual(lattice: Lattice) -> Lattice:
 def lll_reduce(lattice: Lattice) -> Lattice:
     """LLL-reduced basis of the same lattice, the search's own reduction:
     the exact form u @ M, with u the cached transform of Lattice._reduced,
-    so a declared form (M, s) is reduced in integers, a float basis in
-    floats."""
+    so every lattice, a float basis too, is reduced in integers."""
     _, u = lattice._reduced
     m, s = lattice._exact
     return Lattice.from_exact(intmat.matmul(u, m), s,

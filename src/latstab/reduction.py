@@ -4,11 +4,12 @@ The float engine works on plain lists of floats; at the dimensions this
 package targets (n <= 8 or so) that is faster than numpy row operations. The
 integer change-of-basis matrix is accumulated alongside the float rows so
 callers can replay the reduction on exact integer data. lll_integral reduces
-integer rows exactly, and faster on an ill-conditioned Goldstein-Mayer basis.
-It hands down its exact Gram-Schmidt data with the reduced rows, and
-integral_frame reads the float frame of the scaled rows off that data, with
-each mu and |b*|^2 correctly rounded from an integer ratio; float LLL reduces
-only float bases, projections and dual frames.
+integer rows exactly, and faster on an ill-conditioned Goldstein-Mayer basis;
+it is every lattice's reduction, run on its exact form. It hands down its
+exact Gram-Schmidt data with the reduced rows, and integral_frame reads the
+float frame of the scaled rows off that data, with each mu and |b*|^2
+correctly rounded from an integer ratio; float LLL reduces only projections,
+dual frames and the CVP frame.
 
 LLL computes one Gram-Schmidt row per stage (Schnorr and Euchner, Math.
 Programming 66, 1994), not the whole frame after each swap. Cohen's swap

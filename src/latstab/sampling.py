@@ -188,7 +188,11 @@ def exact_2d_y_cdf(y: float) -> float:
 
 
 def sample_gaussian_baseline(n: int, seed: int, stream: int) -> Lattice:
-    """Biased baseline: iid normal matrix normalized to determinant 1."""
+    """Biased baseline: iid normal matrix normalized to determinant 1.
+
+    A draw with |det| < 1e-8 is redrawn, as is one the Lattice refuses,
+    which it does only on an exact determinant of 0; a draw is kept
+    whatever its condition number."""
     gen = stream_generator(seed, stream)
     for _ in range(100):
         g = gen.standard_normal((n, n))

@@ -30,8 +30,8 @@ driver has one candidate loop on both routes.
 
 exists_below tries the span of the leading k reduced rows first, at every
 rank: their exact Gram determinants, for all k at once, are the leading
-principal minors of the reduced form's Gram matrix (Lattice._leading_dets),
-which the integral LLL of a declared form already holds. A rank that span
+principal minors of the reduced form's Gram matrix, which the integral LLL
+of the exact form already holds (Lattice._integral.d). A rank that span
 decides runs no search and spends no node, and a lattice whose every rank
 it decides builds no search frame.
 """
@@ -105,27 +105,25 @@ def _route(lattice: Lattice, k: int):
     y^perp on a dual route, with no map back to L. to_lattice gives that
     subgroup's canonical form in L: canonical_form on a direct route; on a
     dual route the integer kernel of y, mapped to L once per distinct
-    subgroup.
+    subgroup, keyed by the canonical form of y.
     """
     n = _check_rank(lattice, k)
     if 2 * k <= n or k == n:
         return (lattice._reduced, k, 1.0, exact_gram_determinant,
                 canonical_form)
     u = lattice._reduced[1]
-    mapped: list[tuple[list, IntRows]] = []
+    mapped: dict[IntRows, IntRows] = {}
 
     def to_lattice(rows):
         # candidates come in coordinates y in the dual basis R^-T of the
         # reduced rows R = u B, and x @ R is orthogonal to y @ R^-T iff
-        # x . y = 0; a kernel and y^perp are both primitive of rank k, so a
-        # candidate orthogonal to a kernel already mapped is its subgroup
-        for kernel, canon in mapped:
-            if not any(sum(map(mul, x, y)) for x in kernel for y in rows):
-                return canon
-        kernel = intmat.kernel_rows(rows)
-        canon = canonical_form(intmat.matmul(kernel, u))
-        mapped.append((kernel, canon))
-        return canon
+        # x . y = 0; the rows y are primitive, so their HNF is canonical
+        # for span(y) = D^perp cap L* and keys one subgroup D = y^perp
+        key = canonical_form(rows)
+        if key not in mapped:
+            kernel = intmat.kernel_rows(rows)
+            mapped[key] = canonical_form(intmat.matmul(kernel, u))
+        return mapped[key]
 
     return (lattice._dual_frame, n - k, lattice.covolume,
             dual_gram_determinant, to_lattice)
@@ -260,7 +258,7 @@ def exists_below(lattice: Lattice, k: int, bound: float,
         return False
     # a primitive subgroup below the bound proves the answer, which the
     # complete search would reach with the same float of the same exact d
-    if _covolume(lattice, k, lattice._leading_dets[k - 1]) < bound:
+    if _covolume(lattice, k, lattice._integral.d[k]) < bound:
         return True
     level, rank, scale, gram_det, _ = _route(lattice, k)
     search = _Search(bound, budget, k, rank)

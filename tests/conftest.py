@@ -14,10 +14,15 @@ def z3():
     return Lattice.identity(3)
 
 
+# the largest prime SamplerSpec accepts (p < 2^62)
+P_TOP = 2**62 - 57
+
+
 def random_unimodular(n: int, seed: int, stream: int,
-                      kind: str = "goldstein_mayer") -> Lattice:
+                      kind: str = "goldstein_mayer",
+                      p: int = 2**31 - 1) -> Lattice:
     spec = SamplerSpec(kind=kind, n=n, seed=seed,
-                       p=2**31 - 1 if kind == "goldstein_mayer" else None,
+                       p=p if kind == "goldstein_mayer" else None,
                        stream=stream)
     return sample_lattice(spec)
 

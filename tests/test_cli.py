@@ -14,6 +14,7 @@ import latstab
 from latstab import siegel, stability
 from latstab.cli import main
 from latstab.enumeration import DEFAULT_BUDGET
+from conftest import P_TOP
 
 
 def run(argv, capsys=None):
@@ -345,13 +346,36 @@ def test_covrad_replay_reproduces_bytes(tmp_path):
 
 
 def test_degenerate_basis_is_a_usage_error(tmp_path, capsys):
-    # a gm basis at p near 2^61 fails the float condition check
-    out = tmp_path / "x.csv"
-    assert run(["stability-mass", "--n", "2", "--p", "2305843009213693951",
-                "--samples", "2", "--seed", "1", "--workers", "1",
-                "--output", str(out)]) == 1
+    # covrad's float frame of a gm basis at p near 2^61 fails the condition
+    # test, and a singular lattice file has exact determinant 0: each is
+    # exit 1 with one error line
+    lat = tmp_path / "singular.txt"
+    lat.write_text("2\n1 2\n2 4\n")
+    for args in (["covrad", "--n", "2", "--p", "2305843009213693951",
+                  "--lattices", "1", "--trials", "2", "--seed", "1",
+                  "--output", str(tmp_path / "x.csv")],
+                 ["alpha", "--lattice-file", str(lat)]):
+        assert run(args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), args
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_experiments_run_at_the_top_of_the_p_range(tmp_path, capsys, n):
+    # gm at the largest accepted prime, 2^62 - 57, works in every experiment
+    # but covrad, whose float frame of the raw rows fails the condition test
+    common = ["--n", str(n), "--p", str(P_TOP), "--seed", "29"]
+    for args in (["stability-mass", "--samples", "6"],
+                 ["alpha-quantiles", "--k", "1", "--samples", "6"],
+                 ["verify-siegel", "--k", "1", "--t", "1.0",
+                  "--samples", "6"]):
+        out = tmp_path / f"{args[0]}.csv"
+        assert run(args + common + ["--output", str(out)]) == 0, args
+        assert out.read_text().count("\n") > 1
+    assert run(["covrad", "--lattices", "1", "--trials", "2"] + common
+               + ["--output", str(tmp_path / "covrad.csv")]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
+    assert len(err) == 1 and "condition number exceeds 1e12" in err[0]
 
 
 def test_cli_import_leaves_the_worker_pool_unloaded():

@@ -41,21 +41,6 @@ def test_bareiss_4x4(rows):
 
 @given(st.integers(1, 7).flatmap(square))
 @settings(max_examples=60)
-def test_leading_minors_are_the_leading_block_determinants(a):
-    assume(intmat.bareiss_det(a) != 0)
-    g = intmat.gram(a)
-    assert intmat.leading_minors(g) == [
-        intmat.bareiss_det([row[:k] for row in g[:k]])
-        for k in range(1, len(a) + 1)]
-
-
-def test_leading_minors_refuse_an_indefinite_matrix():
-    with pytest.raises(ValueError, match="not positive definite"):
-        intmat.leading_minors([[1, 2], [2, 1]])
-
-
-@given(st.integers(1, 7).flatmap(square))
-@settings(max_examples=60)
 def test_spd_adjugate_is_the_adjugate(a):
     # one fraction-free Gauss-Jordan pass against n^2 cofactor determinants
     assume(intmat.bareiss_det(a) != 0)

@@ -51,9 +51,17 @@ def test_gram_det_equals_covolume_squared():
 
 
 def test_rejects_degenerate():
+    # an ill-conditioned basis that is exactly nonsingular is a lattice with
+    # its exact covolume; only the closest-vector search, whose float LLL
+    # of the raw rows needs a well-conditioned basis, refuses it
+    rows = [[1.0, 1.0], [1.0, 1.0 + 1e-15]]
+    lat = ls.Lattice.from_rows(rows)
+    det = abs(Fraction(rows[0][0]) * Fraction(rows[1][1])
+              - Fraction(rows[0][1]) * Fraction(rows[1][0]))
+    assert lat.covolume == pytest.approx(float(det), rel=1e-12)
     with pytest.raises(DegenerateBasisError):
-        ls.Lattice.from_rows([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
-    # singular bases: the smallest singular value is zero or at rounding level
+        ls.closest_vector(lat, [0.5, 0.5])
+    # singular bases have exact determinant 0
     for rows in ([[0.0, 0.0], [0.0, 0.0]], [[1.0, 2.0], [2.0, 4.0]],
                  [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]):
         with pytest.raises(DegenerateBasisError):
@@ -403,19 +411,25 @@ def test_declared_form_reads_its_frame_off_the_exact_data(monkeypatch):
     # the leading determinants are those of the reduced rows u @ M, and the
     # frame's mu and c are the correctly rounded exact values: exactly at
     # scale 1, and within the rounding of s * s and of the product at a gm
-    # scale; no float LLL runs
+    # scale; no float LLL runs, on a declared form or on the dyadic form of
+    # a float basis
     def refuse(rows):
-        raise AssertionError("float LLL ran on a declared form")
+        raise AssertionError("float LLL ran on a lattice's own rows")
 
     monkeypatch.setattr("latstab.lattice.lll_rows", refuse)
     lats = [ls.Lattice.from_exact(m, 1.0) for m in _integer_bases()]
-    lats += [random_unimodular(n, seed=67, stream=s)
+    lats += [random_unimodular(n, seed=67, stream=s, kind=kind)
+             for kind in ("goldstein_mayer", "gaussian_baseline")
              for n in range(2, 9) for s in range(4)]
+    lats += [ls.sample_exact_2d(seed=67, stream=s) for s in range(8)]
     for lat in lats:
         m, s = lat._exact
         frame, u = lat._reduced
         r = matmul(u, m)
-        assert lat._leading_dets == intmat.leading_minors(intmat.gram(r))
+        g = intmat.gram(r)
+        assert lat._integral.d[1:] == [
+            bareiss_det([row[:k] for row in g[:k]])
+            for k in range(1, len(g) + 1)]
         assert frame.rows == [[s * x for x in row] for row in r]
         mu, c = fraction_gso(r)
         for i in range(len(c)):

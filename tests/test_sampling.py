@@ -11,6 +11,7 @@ from latstab.intmat import bareiss_det
 from latstab import sampling
 from latstab.rng import stream_generator
 from latstab.sampling import is_prime
+from conftest import P_TOP, random_unimodular
 
 P_DEFAULT = 2**31 - 1
 
@@ -164,7 +165,7 @@ def test_gaussian_baseline():
 
 
 def test_gaussian_baseline_retries_only_degenerate_draws(monkeypatch):
-    # an ill-conditioned draw is skipped; any other failure surfaces at once
+    # a draw the Lattice refuses is skipped; any other failure surfaces at once
     real = ls.Lattice.from_rows
     calls = []
 
@@ -201,18 +202,34 @@ def test_gaussian_baseline_bias_reported():
 
 
 def test_cross_sampler_primitive_counts():
-    # mean transform counts at n=2 agree between gm (large p) and exact_2d
+    # mean transform counts at n=2 agree between gm (large p, and the top
+    # of the accepted p range) and exact_2d
     t = 1.5
     n_samp = 4000
-    gm = ls.mc_integral(
-        ls.SamplerSpec(kind="goldstein_mayer", n=2, seed=17, p=10**6 + 3),
-        1, t, n_samp,
-    )
     ex = ls.mc_integral(
         ls.SamplerSpec(kind="exact_2d", n=2, seed=18), 1, t, n_samp
     )
-    se = math.hypot(gm.stderr, ex.stderr)
-    assert abs(gm.mean - ex.mean) <= 3 * se
+    for p, seed in ((10**6 + 3, 17), (P_TOP, 19)):
+        gm = ls.mc_integral(
+            ls.SamplerSpec(kind="goldstein_mayer", n=2, seed=seed, p=p),
+            1, t, n_samp,
+        )
+        se = math.hypot(gm.stderr, ex.stderr)
+        assert abs(gm.mean - ex.mean) <= 3 * se, p
+
+
+def test_gm_draws_at_the_top_of_the_p_range():
+    # every accepted p works: the largest prime below 2^62 gives unimodular
+    # draws, reduced exactly in integers with no condition test
+    assert all(not is_prime(q) for q in range(P_TOP + 1, 2**62))
+    with pytest.raises(ValueError):
+        ls.SamplerSpec(kind="goldstein_mayer", n=2, seed=1, p=2**62)
+    for n in range(2, 7):
+        for stream in range(8):
+            lat = random_unimodular(n, seed=43, stream=stream, p=P_TOP)
+            assert lat.is_unimodular()
+            assert bareiss_det([list(r) for r in lat.exact_basis]) == P_TOP
+            assert lat._integral.d[n] == P_TOP ** 2
 
 
 def test_gm_p_sensitivity_report():

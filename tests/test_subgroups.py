@@ -14,7 +14,7 @@ from latstab import (Lattice, intmat, lattice, reduction, stability,
 from latstab.enumeration import DEFAULT_BUDGET
 from latstab.errors import BudgetExceededError, InvariantViolationError
 from latstab.lattice import saturation_index
-from conftest import random_unimodular
+from conftest import P_TOP, random_unimodular
 
 KINDS = ("goldstein_mayer", "gaussian_baseline")
 
@@ -120,10 +120,11 @@ def test_search_reuses_the_cached_reduction(monkeypatch):
 
 
 def test_each_path_reduces_its_own_frame(monkeypatch):
-    # a declared form's search frame is read off its integer LLL, so the
-    # float LLL never sees the raw rows of a gm lattice, nor their reduced
-    # rows s * (U M); the CVP path keeps the float LLL of the raw rows and
-    # never calls the integer LLL; a float basis has one frame for both
+    # a lattice's search frame is read off the integer LLL of its exact
+    # form, so the float LLL never sees the raw rows of a gm lattice, nor
+    # their reduced rows s * (U M), nor the raw rows of a float basis; the
+    # CVP path keeps the float LLL of the raw rows and never calls the
+    # integer LLL
     seen = []
 
     def spy(rows, *args):
@@ -143,22 +144,24 @@ def test_each_path_reduces_its_own_frame(monkeypatch):
         assert lat._rows not in seen
         assert lat._reduced[0].rows not in seen
         assert "_cvp_frame" not in vars(lat)
+    for kind, n in (("gaussian_baseline", 4), ("exact_2d", 2)):
+        lat = random_unimodular(n, seed=47, stream=2, kind=kind)
+        for k in range(1, n):
+            subgroups.minimal_subgroup(lat, k)
+        assert lat._rows not in seen
+        assert "_cvp_frame" not in vars(lat)
     monkeypatch.setattr(lattice, "lll_integral", refuse)
     for n in range(2, 7):
         lat = random_unimodular(n, seed=47, stream=1)
         stability.covrad_lower(lat, 50, 3)
         assert "_reduced" not in vars(lat)
-    for kind, n in (("gaussian_baseline", 4), ("exact_2d", 2)):
-        lat = random_unimodular(n, seed=47, stream=2, kind=kind)
-        subgroups.minimal_subgroup(lat, 1)
-        assert lat._reduced is lat._cvp_frame
 
 
 def test_every_frame_comes_out_of_lll(monkeypatch):
-    # each level's frame, in the dual and below every projection, and at
-    # the top of a float basis, is the one LLL kept while reducing the
-    # level; a declared form's top frame is read off its integral LLL, which
-    # computes no float Gram-Schmidt row
+    # each level's frame, in the dual and below every projection, is the
+    # one LLL kept while reducing the level; the top frame is read off the
+    # integral LLL of the exact form, which computes no float Gram-Schmidt
+    # row
     callers = []
     real = reduction._gso_row
 
@@ -398,12 +401,16 @@ def _witness_lattices():
         for n in dims:
             for stream in range(4):
                 yield random_unimodular(n, seed=59, stream=stream, kind=kind)
+    # gm at the top of the accepted p range
+    for n in range(2, 7):
+        for stream in range(4):
+            yield random_unimodular(n, seed=59, stream=stream, p=P_TOP)
 
 
 def test_leading_dets_are_the_leading_rows_gram_determinants():
     for lat in _witness_lattices():
         u = lat._reduced[1]
-        dets = lat._leading_dets
+        dets = lat._integral.d[1:]
         assert dets == [lattice.exact_gram_determinant(lat, u[:k])
                         for k in range(1, lat.dim + 1)]
         assert dets[-1] == intmat.bareiss_det(lat._exact[0]) ** 2
@@ -457,7 +464,7 @@ def test_exists_below_evaluates_exactly_the_search_candidates(monkeypatch):
     for kind, n, stream in itertools.product(KINDS, range(2, 9), range(16)):
         lat = random_unimodular(n, seed=61, stream=stream, kind=kind)
         for k in range(1, n + 1):
-            own = lattice._covolume(lat, k, lat._leading_dets[k - 1])
+            own = lattice._covolume(lat, k, lat._integral.d[k])
             m = subgroups.minimal_subgroup(lat, k)[0]
             for bound in (stability._stable_bound(k), own,
                           math.nextafter(m, math.inf)):
@@ -493,7 +500,7 @@ def test_witnessed_lattice_builds_no_frame(monkeypatch):
         return reduction.lll_rows(rows, *args)
 
     def witnessed(lat):
-        return all(lattice._covolume(lat, k, lat._leading_dets[k - 1])
+        return all(lattice._covolume(lat, k, lat._integral.d[k])
                    < stability._stable_bound(k) for k in range(1, lat.dim))
 
     monkeypatch.setattr(lattice, "lll_rows", spy)
