@@ -9,7 +9,8 @@ singular. Every lattice is reduced once, by integral LLL of M, and all
 covolumes are evaluated in exact integer arithmetic; floating point is used
 only for norms, Gram-Schmidt data, enumeration pruning and the
 closest-vector search, whose float LLL of the raw rows is the one place a
-basis must be well conditioned.
+basis must be well conditioned. A declared form's basis is built once, as
+s * M.
 """
 
 from __future__ import annotations
@@ -43,7 +44,12 @@ def _freeze_rows(rows) -> IntRows:
 
 @dataclass(frozen=True, eq=False)
 class Lattice:
-    """Full-rank lattice; rows of `basis` are the basis vectors."""
+    """Full-rank lattice; rows of `basis` are the basis vectors.
+
+    Every constructor ends in __post_init__, which freezes the exact form
+    and makes the basis a read-only float array. from_exact passes
+    basis=None, and the basis is built there once, as s * M; a basis given
+    with an exact form must agree with s * M."""
 
     basis: np.ndarray
     exact_basis: IntRows | None = None
@@ -51,7 +57,15 @@ class Lattice:
     provenance: str | None = None
 
     def __post_init__(self):
-        b = np.array(self.basis, dtype=float)
+        m = self.exact_basis
+        if m is not None:
+            m = _freeze_rows(m)
+            object.__setattr__(self, "exact_basis", m)
+        given = self.basis is not None or m is None
+        if given:
+            b = np.array(self.basis, dtype=float)
+        else:
+            b = self.scale * np.array(m, dtype=float)
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise ValueError(f"basis must be square, got shape {b.shape}")
         n = b.shape[0]
@@ -61,33 +75,28 @@ class Lattice:
             raise DegenerateBasisError("basis contains non-finite entries")
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
-        if self.exact_basis is not None:
-            m = _freeze_rows(self.exact_basis)
+        if m is not None:
             if len(m) != n or any(len(r) != n for r in m):
                 raise ValueError("exact form shape does not match the basis")
             if not (self.scale > 0):
                 raise ValueError("exact form scale must be positive")
-            object.__setattr__(self, "exact_basis", m)
-            approx = self.scale * np.array(
-                [[float(x) for x in row] for row in m]
-            )
-            ref = np.abs(approx).max()
-            if np.abs(approx - b).max() > EXACT_FORM_RTOL * ref:
-                raise ValueError("basis and exact form disagree")
+            if given:
+                approx = self.scale * np.array(m, dtype=float)
+                ref = np.abs(approx).max()
+                if np.abs(approx - b).max() > EXACT_FORM_RTOL * ref:
+                    raise ValueError("basis and exact form disagree")
         self.covolume  # refuses a singular exact form
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_rows(cls, rows, provenance: str | None = None) -> "Lattice":
-        return cls(basis=np.array(rows, dtype=float), provenance=provenance)
+        return cls(basis=rows, provenance=provenance)
 
     @classmethod
     def from_exact(cls, int_rows, scale: float,
                    provenance: str | None = None) -> "Lattice":
-        m = _freeze_rows(int_rows)
-        basis = scale * np.array([[float(x) for x in row] for row in m])
-        return cls(basis=basis, exact_basis=m, scale=float(scale),
+        return cls(basis=None, exact_basis=int_rows, scale=float(scale),
                    provenance=provenance)
 
     @classmethod

@@ -9,7 +9,9 @@ it is every lattice's reduction, run on its exact form. It hands down its
 exact Gram-Schmidt data with the reduced rows, and integral_frame reads the
 float frame of the scaled rows off that data, with each mu and |b*|^2
 correctly rounded from an integer ratio; float LLL reduces only projections,
-dual frames and the CVP frame.
+dual frames and the CVP frame. lll_integral is Cohen's algorithm step for
+step, with its size reduction written out in the loop, and returns bitwise
+what the algorithm as written returns.
 
 LLL computes one Gram-Schmidt row per stage (Schnorr and Euchner, Math.
 Programming 66, 1994), not the whole frame after each swap. Cohen's swap
@@ -183,60 +185,74 @@ def lll_integral(rows) -> IntegralLLL:
     Theory, Alg. 2.6.7) on the Gram determinants d[i] of the leading i rows
     and lam[k][j] = d[j + 1] mu_kj, handed down as they stand at the end;
     R is formed once, as U @ rows. Raises DegenerateBasisError on dependent
-    rows.
+    rows. Each row enters when the stage first reaches it; Cohen's size
+    reduction REDI is written out at its two sites, and the Lovasz sum is
+    reused as the swap's new d. Every step is exact, so the result is
+    bitwise that of the algorithm as written.
     """
     a = [list(map(int, r)) for r in rows]
     m = len(a)
     u: IntMatrix = identity(m)
     d = [1] * (m + 1)
     lam = [[0] * m for _ in range(m)]
-
-    def reduce(k: int, j: int) -> None:
-        # u_k -= round(mu_kj) u_j if |mu_kj| > 1/2 (u is 0 past column top)
-        uk, uj, lk, lj = u[k], u[j], lam[k], lam[j]
-        dj = d[j + 1]
-        if 2 * abs(lk[j]) <= dj:
-            return
-        q = (2 * lk[j] + dj) // (2 * dj)
-        for t in range(top + 1):
-            uk[t] -= q * uj[t]
-        for t in range(j):
-            lk[t] -= q * lj[t]
-        lk[j] -= q * dj
-
-    k, top = 0, -1
-    while k < m:
-        lk = lam[k]
-        if k > top:  # row k enters, still input row k: its Gram-Schmidt data
-            top = k
-            g = [sum(map(mul, r, a[k])) for r in a[:k + 1]]
-            for j in range(k + 1):
-                x = sum(map(mul, u[j], g))
-                for i in range(j):
-                    x = (d[i + 1] * x - lk[i] * lam[j][i]) // d[i]
-                lk[j] = x
-            if not x:
-                raise DegenerateBasisError("dependent rows passed to LLL")
-            d[k + 1] = x
-        if k:
-            reduce(k, k - 1)
-        dk, dk1, lkk = d[k + 1], d[k], lk[k - 1]
-        if k and 100 * (dk * d[k - 1] + lkk * lkk) < 99 * dk1 * dk1:
-            # swap rows k - 1 and k; lam[k][k - 1] keeps its value, and no
-            # lam[i][j] with j >= i is read
-            u[k - 1], u[k] = u[k], u[k - 1]
-            lam[k - 1], lam[k] = lk, lam[k - 1]
-            lam[k][k - 1] = lkk
-            d[k] = (d[k - 1] * dk + lkk * lkk) // dk1
-            for li in lam[k + 1:top + 1]:
-                t = li[k]
-                li[k] = (dk * li[k - 1] - lkk * t) // dk1
-                li[k - 1] = (d[k] * t + lkk * li[k]) // dk
-            k = max(k - 1, 1)
-        else:
-            for j in range(k - 2, -1, -1):
-                reduce(k, j)
-            k += 1
+    for top in range(m):
+        # row top enters, still input row top: its Gram-Schmidt data
+        lk = lam[top]
+        g = [sum(map(mul, r, a[top])) for r in a[:top + 1]]
+        for j in range(top + 1):
+            x = sum(map(mul, u[j], g))
+            lj = lam[j]
+            for i in range(j):
+                x = (d[i + 1] * x - lk[i] * lj[i]) // d[i]
+            lk[j] = x
+        if not x:
+            raise DegenerateBasisError("dependent rows passed to LLL")
+        d[top + 1] = x
+        # stage k of rows 0..top: u is 0 past column top
+        k = top or 1
+        while k <= top:
+            i = k - 1
+            lk, li, di = lam[k], lam[i], d[k]
+            x = lk[i]
+            if 2 * abs(x) > di:  # u_k -= round(mu_ki) u_i
+                q = (2 * x + di) // (2 * di)
+                uk, ui = u[k], u[i]
+                for t in range(top + 1):
+                    uk[t] -= q * ui[t]
+                for t in range(i):
+                    lk[t] -= q * li[t]
+                x -= q * di
+                lk[i] = x
+            dk = d[k + 1]
+            y = dk * d[i] + x * x
+            if 100 * y < 99 * di * di:
+                # swap rows i and k; lam[k][i] keeps its value, and no
+                # lam[r][j] with j >= r is read
+                u[i], u[k] = u[k], u[i]
+                lam[i], lam[k] = lk, li
+                li[i] = x
+                y //= di
+                d[k] = y
+                for lj in lam[k + 1:top + 1]:
+                    t = lj[k]
+                    s = (dk * lj[i] - x * t) // di
+                    lj[k] = s
+                    lj[i] = (y * t + x * s) // dk
+                if i:
+                    k = i
+            else:
+                uk = u[k]
+                for j in range(k - 2, -1, -1):
+                    x, dj = lk[j], d[j + 1]
+                    if 2 * abs(x) > dj:
+                        q = (2 * x + dj) // (2 * dj)
+                        uj, lj = u[j], lam[j]
+                        for t in range(top + 1):
+                            uk[t] -= q * uj[t]
+                        for t in range(j):
+                            lk[t] -= q * lj[t]
+                        lk[j] = x - q * dj
+                k += 1
     return IntegralLLL(matmul(u, a), u, d, lam)
 
 

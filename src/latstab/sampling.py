@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from copy import copy
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -34,8 +35,10 @@ BIASED_KINDS = frozenset({"gaussian_baseline"})
 _Y_MIN = math.sqrt(3.0) / 2.0
 
 
+@cache
 def is_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond the supported p range."""
+    """Deterministic Miller-Rabin, valid far beyond the supported p range.
+    Cached: every SamplerSpec tests its p, and each command builds one."""
     if p < 2:
         return False
     small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -106,8 +109,9 @@ def gm_basis(n: int, p: int, c) -> list[list[int]]:
 
     The identity matrix with row i replaced by p e_i and the other rows
     shifted by multiples of e_i, where i is the first index with c_i
-    nonzero mod p. Expanding along column i shows the determinant is
-    exactly p.
+    nonzero mod p: row m is e_m - (c_m / c_i mod p) e_i, with the inverse
+    of c_i mod p taken by pow(c_i, -1, p). Expanding along column i shows
+    the determinant is exactly p.
     """
     c = [int(v) % p for v in c]
     if len(c) != n:
@@ -116,7 +120,7 @@ def gm_basis(n: int, p: int, c) -> list[list[int]]:
         pivot = next(i for i, v in enumerate(c) if v)
     except StopIteration:
         raise ValueError("functional must be nonzero mod p") from None
-    inv = pow(c[pivot], p - 2, p)
+    inv = pow(c[pivot], -1, p)
     rows = []
     for m in range(n):
         if m == pivot:

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import latstab as ls
 from latstab.errors import (
@@ -21,10 +23,10 @@ from latstab.intmat import bareiss_det, identity, matmul
 from latstab.lattice import (_babai_caps, _babai_recentre, _freeze_rows,
                              exact_gram_determinant)
 from latstab.reduction import Frame, gso, lll_integral, lll_rows
-from conftest import random_integer_rows, random_unimodular
+from conftest import P_TOP, random_integer_rows, random_unimodular
 from oracles import (box_coords, fraction_gso, integer_gram_det,
                      numpy_babai_distance, reference_gram_determinant,
-                     reference_lll_rows)
+                     reference_lll_integral, reference_lll_rows)
 
 
 # -- construction and gram ---------------------------------------------------
@@ -73,6 +75,79 @@ def test_rejects_degenerate():
 def test_exact_form_consistency_checked():
     with pytest.raises(ValueError):
         ls.Lattice(basis=np.eye(2), exact_basis=((2, 0), (0, 2)), scale=1.0)
+
+
+def test_declared_basis_is_built_once_as_s_times_m():
+    # from_exact's basis is s * float(M), bit for bit, and read-only
+    forms = [(ls.gm_basis(n, p, [3, 1, 4, 1, 5, 9, 2, 6][:n]), p ** (-1.0 / n))
+             for n in (2, 5, 8) for p in (2**31 - 1, P_TOP)]
+    forms += [([[-1, 2**60 + 1], [3, -(2**70)]], 0.1), ([[0, 1], [-1, 0]], 1.0)]
+    for m, s in forms:
+        lat = ls.Lattice.from_exact(m, s)
+        want = s * np.array([[float(x) for x in row] for row in m])
+        assert lat.basis.tobytes() == want.tobytes()
+        assert lat.basis.dtype == want.dtype and not lat.basis.flags.writeable
+        assert lat.exact_basis == _freeze_rows(m) and lat.scale == s
+
+
+def test_every_constructor_keeps_its_refusals():
+    nan, inf = float("nan"), float("inf")
+    eye2 = ((1, 0), (0, 1))
+    refused = [
+        # not square, and n < 2
+        (ValueError, lambda: ls.Lattice.from_exact([[1, 2, 3], [4, 5, 6]], 1.0)),
+        (ValueError, lambda: ls.Lattice.from_rows([[1.0, 2.0, 3.0],
+                                                   [4.0, 5.0, 6.0]])),
+        (ValueError, lambda: ls.Lattice(basis=np.ones((2, 3)))),
+        (ValueError, lambda: ls.Lattice(basis=np.eye(2),
+                                        exact_basis=((1, 0, 0), (0, 1, 0)))),
+        (ValueError, lambda: ls.Lattice.from_exact([[1]], 1.0)),
+        (ValueError, lambda: ls.Lattice.from_rows([[1.0]])),
+        (ValueError, lambda: ls.Lattice(basis=np.eye(1))),
+        # a scale that is not positive, or NaN (which makes s * M non-finite)
+        (ValueError, lambda: ls.Lattice.from_exact(eye2, 0.0)),
+        (ValueError, lambda: ls.Lattice.from_exact(eye2, -1.0)),
+        (DegenerateBasisError, lambda: ls.Lattice.from_exact(eye2, nan)),
+        (ValueError, lambda: ls.Lattice(basis=np.eye(2), exact_basis=eye2,
+                                        scale=0.0)),
+        (ValueError, lambda: ls.Lattice(basis=np.eye(2), exact_basis=eye2,
+                                        scale=nan)),
+        # a non-finite basis
+        (DegenerateBasisError, lambda: ls.Lattice.from_exact(eye2, inf)),
+        (DegenerateBasisError,
+         lambda: ls.Lattice.from_exact([[10**10, 0], [0, 1]], 1e300)),
+        (DegenerateBasisError, lambda: ls.Lattice.from_rows([[inf, 0.0],
+                                                             [0.0, 1.0]])),
+        (DegenerateBasisError, lambda: ls.Lattice(basis=np.array(
+            [[nan, 0.0], [0.0, 1.0]]))),
+        # a singular exact form
+        (DegenerateBasisError, lambda: ls.Lattice.from_exact([[1, 2], [2, 4]],
+                                                             1.0)),
+        (DegenerateBasisError, lambda: ls.Lattice.from_rows([[1.0, 2.0],
+                                                             [2.0, 4.0]])),
+        (DegenerateBasisError, lambda: ls.Lattice(
+            basis=np.array([[1.0, 2.0], [2.0, 4.0]]),
+            exact_basis=((1, 2), (2, 4)))),
+    ]
+    for error, construct in refused:
+        with pytest.raises(error), np.errstate(invalid="ignore", over="ignore"):
+            construct()
+
+
+def test_a_gm_draw_constructs_one_lattice(monkeypatch):
+    calls = []
+    post_init = ls.Lattice.__post_init__
+
+    def counting(lattice):
+        calls.append(lattice)
+        post_init(lattice)
+
+    monkeypatch.setattr(ls.Lattice, "__post_init__", counting)
+    for n, p in ((2, 2**31 - 1), (6, 2**31 - 1), (6, P_TOP)):
+        for stream in range(10):
+            calls.clear()
+            lat = ls.sample_gm(n, p, seed=3, stream=stream)
+            assert calls == [lat]
 
 
 # -- LLL ----------------------------------------------------------------------
@@ -393,6 +468,65 @@ def test_lll_integral_output_is_reduced_exactly():
     assert reduction.DEFAULT_DELTA == 99 / 100
     for n in range(1, 7):
         assert lll_integral(identity(n))[:2] == (identity(n), identity(n))
+
+
+def _integral_bits(lll, rows):
+    """lll(rows) as (R, U, d, lam[i][j] for j < i), or the error it raises."""
+    try:
+        r, u, d, lam = lll(rows)
+    except DegenerateBasisError as exc:
+        return type(exc), str(exc)
+    return r, u, d, [row[:i] for i, row in enumerate(lam)]
+
+
+def test_lll_integral_matches_the_reference_bitwise():
+    # 200 gm bases per n at n = 2..10 at two primes, the dyadic forms of
+    # exact 2d and Gaussian draws, and the dense and pivoted integer bases
+    inputs = list(_integer_bases())
+    for n in range(2, 11):
+        for p in (2**31 - 1, P_TOP):
+            rng = np.random.default_rng(n)
+            for _ in range(200):
+                c = [int(x) for x in rng.integers(0, p, size=n)]
+                inputs.append(ls.gm_basis(n, p, c))
+    inputs += [ls.sample_exact_2d(seed=31, stream=s)._exact[0]
+               for s in range(100)]
+    inputs += [random_unimodular(n, seed=31, stream=s,
+                                 kind="gaussian_baseline")._exact[0]
+               for n in range(2, 9) for s in range(10)]
+    for rows in inputs:
+        assert _integral_bits(lll_integral, rows) == \
+            _integral_bits(reference_lll_integral, rows)
+    for rows in ([[0, 0]], [[1, 2], [2, 4]], [[3, 1, 4], [1, 5, 9], [2, 6, 5],
+                                              [4, 6, 13]]):
+        bits = _integral_bits(lll_integral, rows)
+        assert bits[0] is DegenerateBasisError
+        assert bits == _integral_bits(reference_lll_integral, rows)
+
+
+@st.composite
+def integer_rows(draw):
+    # up to 8 rows of n <= 8 integers, and at times an integer combination
+    # of two of them inserted among them; more rows than n, or that
+    # combination, make the rows dependent
+    entry = st.one_of(st.integers(-5, 5), st.integers(-10**9, 10**9))
+    n = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=1, max_size=8))
+    if len(rows) >= 2 and draw(st.booleans()):
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, len(rows) - 1))
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        combo = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+        rows.insert(draw(st.integers(0, len(rows))), combo)
+    return rows
+
+
+@given(integer_rows())
+@settings(max_examples=300, deadline=None)
+def test_lll_integral_matches_the_reference_on_any_integer_rows(rows):
+    assert _integral_bits(lll_integral, rows) == \
+        _integral_bits(reference_lll_integral, rows)
 
 
 def test_lll_integral_hands_down_its_exact_gram_schmidt_data():

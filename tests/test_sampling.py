@@ -58,6 +58,19 @@ def test_streams_reuse_the_primality_test_of_their_spec(monkeypatch):
         ls.SamplerSpec(kind="goldstein_mayer", n=3, seed=1, p=P_DEFAULT - 2)
 
 
+def test_primality_is_tested_once_per_p():
+    # every command builds a spec; Miller-Rabin runs once per p in a
+    # process, and a composite or out-of-range p is refused every time
+    sampling.is_prime.cache_clear()
+    for seed in range(3):
+        ls.SamplerSpec(kind="goldstein_mayer", n=3, seed=seed, p=1000003)
+    info = sampling.is_prime.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    for p in (1000001, 1000001, 2, 2**62, P_TOP + 2):
+        with pytest.raises(ValueError):
+            ls.SamplerSpec(kind="goldstein_mayer", n=3, seed=1, p=p)
+
+
 def test_gm_basis_example():
     assert ls.gm_basis(2, 5, (1, 2)) == [[5, 0], [-2, 1]]
 
