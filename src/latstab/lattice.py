@@ -213,7 +213,9 @@ class Lattice:
         """(adj G, det G) of the integer Gram G = R R^T of the reduced rows
         R = u M: the dual basis R^-T, in whose coordinates the dual frame's
         candidates come, has Gram G^-1 = adj G / det G. One fraction-free
-        Gauss-Jordan pass, built on the first dual candidate."""
+        Gauss-Jordan pass, built on the first dual candidate that is not
+        the seed (the span of the leading reduced rows, whose determinant
+        _integral.d already holds), so most lattices never build it."""
         return intmat.spd_adjugate(intmat.gram(self._integral.rows))
 
     @cached_property

@@ -25,15 +25,20 @@ Ranks k > n/2 are searched at rank n - k in the dual lattice, where the
 search is far cheaper (see _route). The route hands each driver the exact
 Gram determinant of the subgroup a candidate stands for, in the
 candidate's own coordinates (lattice.dual_gram_determinant for a dual
-candidate), and the map to its canonical form in the lattice, so each
-driver has one candidate loop on both routes.
+candidate), the map to its canonical form in the lattice, and a test for
+whether the candidate is the seed, so minimal_subgroup, subgroups_within
+and exists_below each have one candidate loop on both routes.
 
-exists_below tries the span of the leading k reduced rows first, at every
-rank: their exact Gram determinants, for all k at once, are the leading
-principal minors of the reduced form's Gram matrix, which the integral LLL
-of the exact form already holds (Lattice._integral.d). A rank that span
-decides runs no search and spends no node, and a lattice whose every rank
-it decides builds no search frame.
+The seed is the span of the leading k reduced rows. Its exact Gram
+determinant, for all k at once, is a leading principal minor of the
+reduced form's Gram matrix, which the integral LLL of the exact form
+already holds (Lattice._integral.d). exists_below tries it first, at every
+rank: a rank it decides runs no search and spends no node, and a lattice
+whose every rank it decides builds no search frame. minimal_subgroup
+starts from it on both routes. The dual search finds the seed again on
+nearly every lattice; each of the three drops that rediscovery before any
+determinant or map, so the adjugate behind dual_gram_determinant and the
+kernels of to_lattice are built only for the other subgroups.
 """
 
 from __future__ import annotations
@@ -87,8 +92,8 @@ def _check_rank(lattice: Lattice, k: int) -> int:
 
 
 def _route(lattice: Lattice, k: int):
-    """(level, rank, scale, gram_det, to_lattice) of the search for rank-k
-    subgroups.
+    """(level, rank, scale, gram_det, to_lattice, is_seed) of the search for
+    rank-k subgroups.
 
     A level is a (frame, lift) pair: the Gram-Schmidt frame of LLL-reduced
     float rows in R^n (projected below the top level), and the integer lift
@@ -106,11 +111,19 @@ def _route(lattice: Lattice, k: int):
     subgroup's canonical form in L: canonical_form on a direct route; on a
     dual route the integer kernel of y, mapped to L once per distinct
     subgroup, keyed by the canonical form of y.
+
+    is_seed(rows) says whether a candidate is the seed, the span of the
+    leading k reduced rows, whose determinant d[k] and canonical form
+    (_seed_form) every caller already holds. On a dual route it is exact:
+    y is primitive of rank n - k, so its first k coordinates all vanish
+    exactly when span(y) is the coordinate sublattice on e_k..e_{n-1}, that
+    is when y^perp is span(R[:k]). On a direct route it is never true, and
+    the direct route's candidates are decided as they come.
     """
     n = _check_rank(lattice, k)
     if 2 * k <= n or k == n:
         return (lattice._reduced, k, 1.0, exact_gram_determinant,
-                canonical_form)
+                canonical_form, lambda rows: False)
     u = lattice._reduced[1]
     mapped: dict[IntRows, IntRows] = {}
 
@@ -125,8 +138,17 @@ def _route(lattice: Lattice, k: int):
             mapped[key] = canonical_form(intmat.matmul(kernel, u))
         return mapped[key]
 
+    def is_seed(rows):
+        return not any(x for row in rows for x in row[:k])
+
     return (lattice._dual_frame, n - k, lattice.covolume,
-            dual_gram_determinant, to_lattice)
+            dual_gram_determinant, to_lattice, is_seed)
+
+
+def _seed_form(lattice: Lattice, k: int) -> IntRows:
+    """Canonical form in L of the seed, the span of the leading k reduced
+    rows; its exact Gram determinant is lattice._integral.d[k]."""
+    return canonical_form(lattice._reduced[1][:k])
 
 
 def _project(rows, lift, x):
@@ -193,28 +215,31 @@ def minimal_subgroup(lattice: Lattice, k: int,
     minimizer, which is primitive by construction; among exact covolume
     ties the canonical matrix preferred by _tie_key wins.
 
-    The span of the route's leading reduced rows seeds the least exact Gram
-    determinant d and the threshold. Each candidate is decided on its own
-    exact d. The tie band holds the candidates whose d equals the least so
-    far; only that band is canonicalised in L, once per distinct subgroup
-    on a dual route.
+    The seed gives the first least exact Gram determinant, d[k], and the
+    threshold on both routes; a rediscovery of it is dropped before any
+    determinant, since the band already holds it. Each other candidate is
+    decided on its own exact d. The tie band holds the subgroups whose d
+    equals the least so far; only that band is canonicalised in L, once per
+    distinct subgroup on a dual route.
     """
-    level, rank, scale, gram_det, to_lattice = _route(lattice, k)
-    first = list(level[1][:rank])
-    best = gram_det(lattice, first)
-    band = [first]
+    level, rank, scale, gram_det, to_lattice, is_seed = _route(lattice, k)
+    best, band, seeded = lattice._integral.d[k], [], True
     search = _Search(_covolume(lattice, k, best) * SLACK, budget, k, rank)
     for rows in _candidates(level, rank, scale, search):
+        if is_seed(rows):
+            continue
         d = gram_det(lattice, rows)
         if d < best:
-            best, band = d, []
+            best, band, seeded = d, [], False
         if d == best:
             band.append(rows)
         covol = _covolume(lattice, k, d)
         if covol * SLACK < search.threshold:
             search.threshold = covol * SLACK
-    winner = min({to_lattice(rows) for rows in band}, key=_tie_key)
-    return _covolume(lattice, k, best), winner
+    forms = {to_lattice(rows) for rows in band}
+    if seeded:
+        forms.add(_seed_form(lattice, k))
+    return _covolume(lattice, k, best), min(forms, key=_tie_key)
 
 
 def subgroups_within(lattice: Lattice, k: int, bound: float,
@@ -226,18 +251,27 @@ def subgroups_within(lattice: Lattice, k: int, bound: float,
     is canonicalised first, and each subgroup's exact determinant evaluated
     once: the search reaches a subgroup many times, and no candidate lies
     above the bound by more than the slack, so deciding first would
-    canonicalise nearly every candidate anyway.
+    canonicalise nearly every candidate anyway. The seed is mapped once,
+    to d[k] and _seed_form, however often the search reaches it.
     """
     _check_rank(lattice, k)
     if not bound > 0:
         raise ValueError("bound must be positive")
-    level, rank, scale, gram_det, to_lattice = _route(lattice, k)
+    level, rank, scale, gram_det, to_lattice, is_seed = _route(lattice, k)
     search = _Search(bound, budget, k, rank)
     found: dict[IntRows, float] = {}
+    seen_seed = False
     for rows in _candidates(level, rank, scale, search):
+        if is_seed(rows):
+            seen_seed = True
+            continue
         canon = to_lattice(rows)
         if canon not in found:
             found[canon] = _covolume(lattice, k, gram_det(lattice, rows))
+    if seen_seed:
+        # is_seed is exact, so no other candidate maps to the seed's form
+        found[_seed_form(lattice, k)] = _covolume(lattice, k,
+                                                  lattice._integral.d[k])
     return sorted((v, c) for c, v in found.items() if v <= bound)
 
 
@@ -251,7 +285,7 @@ def exists_below(lattice: Lattice, k: int, bound: float,
     reduced rows is tried first, at every rank and before any routing: a
     rank it decides builds no dual frame, runs no search and spends no
     node of the budget. A rank it leaves open is decided by the search's
-    candidates alone, on either route.
+    other candidates alone, on either route.
     """
     _check_rank(lattice, k)
     if not bound > 0:
@@ -260,9 +294,11 @@ def exists_below(lattice: Lattice, k: int, bound: float,
     # complete search would reach with the same float of the same exact d
     if _covolume(lattice, k, lattice._integral.d[k]) < bound:
         return True
-    level, rank, scale, gram_det, _ = _route(lattice, k)
+    level, rank, scale, gram_det, _, is_seed = _route(lattice, k)
     search = _Search(bound, budget, k, rank)
     # every primitive subgroup below the threshold is a candidate of its own
-    # (completeness), so a candidate's own exact covolume decides
-    return any(_covolume(lattice, k, gram_det(lattice, rows)) < bound
+    # (completeness), so a candidate's own exact covolume decides; the
+    # seed's was refused above
+    return any(not is_seed(rows)
+               and _covolume(lattice, k, gram_det(lattice, rows)) < bound
                for rows in _candidates(level, rank, scale, search))

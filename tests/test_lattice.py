@@ -1,7 +1,9 @@
 """Lattice type, reduction, enumeration, CVP, saturation, duals, text IO."""
 
+import contextlib
 import hashlib
 import math
+import signal
 import sys
 from fractions import Fraction
 
@@ -522,11 +524,35 @@ def integer_rows(draw):
     return rows
 
 
+class _Hung(BaseException):
+    """Not an Exception, so hypothesis stops at once rather than shrinking
+    an input that costs the full deadline on every try."""
+
+
+@contextlib.contextmanager
+def _wall_deadline(seconds, what):
+    """Raise _Hung, naming what, once the body has run for seconds of wall
+    time: LLL with a broken update does not fail, it loops, and neither
+    copy has a step cap."""
+    def expire(signum, frame):
+        raise _Hung(f"no result within {seconds} s on {what!r}")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
 @given(integer_rows())
 @settings(max_examples=300, deadline=None)
 def test_lll_integral_matches_the_reference_on_any_integer_rows(rows):
-    assert _integral_bits(lll_integral, rows) == \
-        _integral_bits(reference_lll_integral, rows)
+    # each example takes milliseconds; a hang fails the test at once
+    with _wall_deadline(2.0, rows):
+        assert _integral_bits(lll_integral, rows) == \
+            _integral_bits(reference_lll_integral, rows)
 
 
 def test_lll_integral_hands_down_its_exact_gram_schmidt_data():

@@ -266,7 +266,7 @@ def _driver_results(lat, k):
 
 def _direct_route(lat, k):
     return (lat._reduced, k, 1.0, lattice.exact_gram_determinant,
-            lattice.canonical_form)
+            lattice.canonical_form, lambda rows: False)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -357,9 +357,10 @@ def test_inexact_dual_determinant_is_an_invariant_error():
 
 def test_dual_route_maps_only_what_it_returns(monkeypatch):
     # exists_below decides every dual candidate with no kernel; the minimum
-    # maps one kernel per distinct subgroup of its final band (one on a
-    # generic gm lattice), subgroups_within one per subgroup it reaches, at
-    # the minimum's own bound the subgroups it returns
+    # maps one kernel per distinct subgroup of its final band other than the
+    # seed (none on a generic gm lattice), subgroups_within one per subgroup
+    # other than the seed that it reaches, at the minimum's own bound the
+    # subgroups it returns
     calls = []
     real = intmat.kernel_rows
 
@@ -371,10 +372,14 @@ def test_dual_route_maps_only_what_it_returns(monkeypatch):
 
     def mapped(lat, k):
         calls.clear()
-        m = subgroups.minimal_subgroup(lat, k)[0]
+        m, coords = subgroups.minimal_subgroup(lat, k)
         band = len(calls)
         calls.clear()
-        assert len(subgroups.subgroups_within(lat, k, m)) == len(calls) == band
+        within = [c for _, c in subgroups.subgroups_within(lat, k, m)]
+        others = [c for c in within if c != subgroups._seed_form(lat, k)]
+        assert len(others) == len(calls) == band
+        # the ties, the seed's among them, are settled by _tie_key alone
+        assert coords == min(within, key=subgroups._tie_key)
         calls.clear()
         for bound in (m, math.nextafter(m, math.inf)):
             subgroups.exists_below(lat, k, bound)
@@ -384,11 +389,71 @@ def test_dual_route_maps_only_what_it_returns(monkeypatch):
     for n in (4, 5, 6):
         ks = range(n // 2 + 1, n)
         gm = random_unimodular(n, seed=47, stream=0)
-        assert [mapped(gm, k) for k in ks] == [1] * len(ks)
+        assert [mapped(gm, k) for k in ks] == [0] * len(ks)
+        # Z^n ties at every coordinate subgroup, binom(n, k) of them with
+        # the seed; D_n and A_n + 1 tie at some ranks
+        assert [mapped(Lattice.identity(n), k) for k in ks] == \
+            [math.comb(n, k) - 1 for k in ks]
         ties = [mapped(lat, k) for k in ks
-                for lat in (Lattice.identity(n), _scaled(_d_n(n)),
-                            _scaled(_a_n_plus_ones(n)))]
-        assert min(ties) >= 1 and max(ties) > 1
+                for lat in (_scaled(_d_n(n)), _scaled(_a_n_plus_ones(n)))]
+        assert max(ties) > 1
+
+
+def test_dual_search_that_finds_only_the_seed_builds_no_adjugate():
+    # at n = 6, k = 4 on a generic gm lattice the dual search yields the
+    # seed alone, so neither minimal_subgroup nor exists_below builds adj(G)
+    # or takes a dual determinant; a bound above the seed's covolume is
+    # witnessed by the seed itself and runs no search
+    for stream in range(4):
+        lat = random_unimodular(6, seed=47, stream=stream)
+        own = lattice._covolume(lat, 4, lat._integral.d[4])
+        assert subgroups.minimal_subgroup(lat, 4)[0] == own
+        assert not subgroups.exists_below(lat, 4, own)
+        assert subgroups.exists_below(lat, 4, math.nextafter(own, math.inf))
+        assert "_dual_frame" in vars(lat)
+        assert "_dual_gram" not in vars(lat)
+
+
+def _seed_test_lattices(n):
+    yield Lattice.identity(n)
+    yield _scaled(_d_n(n))
+    yield _scaled(_a_n_plus_ones(n))
+    for kind in KINDS:
+        for stream in range(3):
+            yield random_unimodular(n, seed=71, stream=stream, kind=kind)
+
+
+def test_dual_seed_test_is_exact():
+    # a dual candidate is the seed, the span of the leading k reduced rows,
+    # exactly when its first k coordinates vanish: then its exact
+    # determinant is d[k] and it maps to the seed's canonical form, and
+    # every other candidate maps elsewhere; at every k > n/2, n = 3..7
+    seeds = others = 0
+    for n in range(3, 8):
+        for lat in _seed_test_lattices(n):
+            for k in range(n // 2 + 1, n):
+                level, rank, scale, _, to_lattice, is_seed = \
+                    subgroups._route(lat, k)
+                seed = lattice.canonical_form(lat._reduced[1][:k])
+                assert subgroups._seed_form(lat, k) == seed
+                d = lat._integral.d[k]
+                bound = 1.5 * lattice._covolume(lat, k, d)
+                search = subgroups._Search(bound, DEFAULT_BUDGET, k, rank)
+                found = False
+                for y in subgroups._candidates(level, rank, scale, search):
+                    vanish = not any(x for row in y for x in row[:k])
+                    assert is_seed(y) == vanish
+                    if vanish:
+                        assert lattice.dual_gram_determinant(lat, y) == d
+                        assert to_lattice(y) == seed
+                        seeds += 1
+                        found = True
+                    else:
+                        assert to_lattice(y) != seed
+                        others += 1
+                # the seed lies below the bound, so the search reaches it
+                assert found, (lat.basis, k)
+    assert seeds > 50 and others > 50
 
 
 # -- exists_below tries the leading reduced rows first --------------------------
@@ -444,10 +509,11 @@ def test_witnessed_rank_runs_no_search(monkeypatch):
 
 def test_exists_below_evaluates_exactly_the_search_candidates(monkeypatch):
     # once the leading rows' determinant has refused the bound, the exact
-    # determinants evaluated are the search's candidates, in order, on both
-    # routes, and all of them when the answer is False; no candidate lies
-    # above the bound by more than the slack, so leading rows refused by
-    # more than that are never evaluated again
+    # determinants evaluated are the search's candidates other than the
+    # seed, in order, on both routes, and all of them when the answer is
+    # False; no candidate lies above the bound by more than the slack, so
+    # leading rows refused by more than that are never evaluated again, and
+    # a dual candidate that is the seed is never evaluated at all
     calls = []
 
     def spy(real):
@@ -460,7 +526,7 @@ def test_exists_below_evaluates_exactly_the_search_candidates(monkeypatch):
         monkeypatch.setattr(subgroups, name, spy(getattr(subgroups, name)))
     outcomes = {True: 0, False: 0}
     routes = set()
-    refused = 0
+    refused = rediscovered = 0
     for kind, n, stream in itertools.product(KINDS, range(2, 9), range(16)):
         lat = random_unimodular(n, seed=61, stream=stream, kind=kind)
         for k in range(1, n + 1):
@@ -470,10 +536,13 @@ def test_exists_below_evaluates_exactly_the_search_candidates(monkeypatch):
                           math.nextafter(m, math.inf)):
                 if own < bound:
                     continue
-                level, rank, scale, _, _ = subgroups._route(lat, k)
+                level, rank, scale, _, _, is_seed = subgroups._route(lat, k)
                 search = subgroups._Search(bound, DEFAULT_BUDGET, k, rank)
                 cands = [[list(r) for r in rows] for rows in
                          subgroups._candidates(level, rank, scale, search)]
+                others = [rows for rows in cands if not is_seed(rows)]
+                rediscovered += len(cands) - len(others)
+                cands = others
                 calls.clear()
                 found = subgroups.exists_below(lat, k, bound)
                 assert calls == cands[:len(calls)], (lat.basis, k, bound)
@@ -486,7 +555,7 @@ def test_exists_below_evaluates_exactly_the_search_candidates(monkeypatch):
                 outcomes[found] += 1
                 routes.add(rank == k)
     assert outcomes[True] >= 10 and outcomes[False] > 300
-    assert routes == {True, False} and refused > 50
+    assert routes == {True, False} and refused > 50 and rediscovered > 50
 
 
 def test_witnessed_lattice_builds_no_frame(monkeypatch):
