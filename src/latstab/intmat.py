@@ -78,35 +78,34 @@ def bareiss_det(mat) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def spd_adjugate(g) -> tuple[IntMatrix, int]:
-    """Return (adj, det) of a symmetric positive-definite integer matrix by
-    one fraction-free Gauss-Jordan pass over [g | I], which ends as
-    [det(g) I | adj(g)]. Each pivot is a leading principal minor, hence
-    positive, so no row is exchanged; every division is exact.
-
-    Before step i, outside the columns i..n+i a row r != i holds one
-    nonzero entry, the previous pivot: on the diagonal if r < i, in its
-    identity column if r > i. So only those columns are eliminated, and
-    that entry becomes the new pivot."""
-    n = len(g)
+def adjugate(mat) -> tuple[IntMatrix, int]:
+    """Return (adj, det) with mat @ adj == det * I, all exact, by one
+    fraction-free Gauss-Jordan pass over [mat | I] (Bareiss, Math. Comp.
+    22, 1968). A zero pivot is exchanged with a row below it, so the pass
+    runs on P mat for a permutation P of sign `sign`; it ends as
+    [d I | E] with d = det(P mat) and E = d (P mat)^-1 P, hence
+    adj = sign E and det = sign d. Every division is exact. Raises
+    ValueError on a singular matrix."""
+    n = len(mat)
     a = [[int(x) for x in row] + [int(i == j) for j in range(n)]
-         for i, row in enumerate(g)]
-    prev = 1
+         for i, row in enumerate(mat)]
+    sign = prev = 1
     for i in range(n):
+        if not a[i][i]:
+            r = next((r for r in range(i + 1, n) if a[r][i]), None)
+            if r is None:
+                raise ValueError("adjugate of a singular matrix")
+            a[i], a[r] = a[r], a[i]
+            sign = -sign
         row_i = a[i]
         piv = row_i[i]
-        if piv <= 0:
-            raise ValueError("matrix is not positive definite")
-        part_i = row_i[i:n + i + 1]
         for r in range(n):
             if r != i:
-                row = a[r]
-                f = row[i]
-                row[i:n + i + 1] = [(x * piv - f * y) // prev for x, y
-                                    in zip(row[i:n + i + 1], part_i)]
-                row[r if r < i else n + r] = piv
+                f = a[r][i]
+                a[r] = [(x * piv - f * y) // prev
+                        for x, y in zip(a[r], row_i)]
         prev = piv
-    return [row[n:] for row in a], prev
+    return [[sign * x for x in row[n:]] for row in a], sign * prev
 
 
 def hnf_rows(rows) -> IntMatrix:
@@ -290,25 +289,3 @@ def complete_primitive_row(x) -> IntMatrix:
     if w[0] != [int(v) for v in x]:
         raise AssertionError("primitive completion failed")
     return w
-
-
-def adjugate(mat) -> tuple[IntMatrix, int]:
-    """Return (adj, det) with mat @ adj == det * I, all exact."""
-    a = copy_matrix(mat)
-    n = len(a)
-    det = bareiss_det(a)
-    if n == 1:
-        return [[1]], det
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [a[r][c] for c in range(n) if c != j]
-                for r in range(n)
-                if r != i
-            ]
-            cof = bareiss_det(minor)
-            if (i + j) % 2:
-                cof = -cof
-            adj[j][i] = cof
-    return adj, det

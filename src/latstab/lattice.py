@@ -212,17 +212,17 @@ class Lattice:
     def _dual_gram(self) -> tuple[list[list[int]], int]:
         """(adj G, det G) of the integer Gram G = R R^T of the reduced rows
         R = u M: the dual basis R^-T, in whose coordinates the dual frame's
-        candidates come, has Gram G^-1 = adj G / det G. One fraction-free
-        Gauss-Jordan pass, built on the first dual candidate that is not
-        the seed (the span of the leading reduced rows, whose determinant
-        _integral.d already holds), so most lattices never build it."""
-        return intmat.spd_adjugate(intmat.gram(self._integral.rows))
+        candidates come, has Gram G^-1 = adj G / det G. Built on the first
+        dual candidate that is not the seed (the span of the leading
+        reduced rows, whose determinant _integral.d already holds), so most
+        lattices never build it."""
+        return intmat.adjugate(intmat.gram(self._integral.rows))
 
     @cached_property
     def _reduced_inverse(self) -> IntRows:
         """Exact integer inverse of the reduction transform."""
         _, u = self._reduced
-        adj, det = intmat.adjugate([list(r) for r in u])
+        adj, det = intmat.adjugate(u)
         if det == -1:
             adj = [[-x for x in row] for row in adj]
         return _freeze_rows(adj)
@@ -252,9 +252,7 @@ def gram(lattice: Lattice) -> np.ndarray:
 def dual(lattice: Lattice) -> Lattice:
     """Dual lattice (inverse-transpose basis), with a declared exact form."""
     m, s = lattice._exact
-    adj, det = intmat.adjugate([list(r) for r in m])
-    if det == 0:
-        raise DegenerateBasisError("exact basis is singular")
+    adj, det = intmat.adjugate(m)
     sign = 1 if det > 0 else -1
     rows = [[sign * adj[j][i] for j in range(len(adj))]
             for i in range(len(adj))]
@@ -263,11 +261,9 @@ def dual(lattice: Lattice) -> Lattice:
 
 def lll_reduce(lattice: Lattice) -> Lattice:
     """LLL-reduced basis of the same lattice, the search's own reduction:
-    the exact form u @ M, with u the cached transform of Lattice._reduced,
-    so every lattice, a float basis too, is reduced in integers."""
-    _, u = lattice._reduced
-    m, s = lattice._exact
-    return Lattice.from_exact(intmat.matmul(u, m), s,
+    the exact form U M of Lattice._integral, so every lattice, a float
+    basis too, is reduced in integers."""
+    return Lattice.from_exact(lattice._integral.rows, lattice._exact[1],
                               provenance=lattice.provenance)
 
 

@@ -17,23 +17,10 @@ LLL computes one Gram-Schmidt row per stage (Schnorr and Euchner, Math.
 Programming 66, 1994), not the whole frame after each swap. Cohen's swap
 update (Alg. 2.6.3) is not used: in doubles its mu drifts on the raw
 Goldstein-Mayer basis, and LLL then stops on bases that are not reduced.
-
-LLL works only on the columns a stage can reach. The rows 0..top that have
-entered it are integer combinations of the input rows 0..top, so they, and
-their Gram-Schmidt rows, are +0.0 from the largest width w of those input
-rows on (the raw Goldstein-Mayer basis gains one column per row), and the
-transform rows are 0 from column top + 1 on. Row updates stop at w and
-transform updates at top + 1, and no bit of the result moves: a skipped
-step subtracts q * (+0.0) = +-0.0 from +0.0, and +0.0 - (+-0.0) is +0.0.
-The dot products still run over whole rows, which costs less than cutting
-them: their extra terms are (+0.0) * (+0.0), and adding +0.0 to a sum that
-starts at int 0 changes nothing, because such a sum is never -0.0. A -0.0
-entry counts towards the width (_width), since -0.0 - (-0.0) is +0.0.
 """
 
 from __future__ import annotations
 
-from math import copysign
 from operator import mul
 from typing import NamedTuple
 
@@ -49,18 +36,9 @@ def dot(u, v) -> float:
     return sum(map(mul, u, v))
 
 
-def _width(row) -> int:
-    """Index just past the last entry of row that is not +0.0 (-0.0 counts)."""
-    t = len(row)
-    while t and not row[t - 1] and copysign(1.0, row[t - 1]) > 0.0:
-        t -= 1
-    return t
-
-
-def _gso_row(rows, i, mu, c, bstar, width) -> None:
+def _gso_row(rows, i, mu, c, bstar) -> None:
     """Fill row i of the Gram-Schmidt data from the float rows[i] and rows
-    0..i-1. Entries from column width on are +0.0 in all of these rows, so
-    they stay +0.0 in b*_i and the updates stop there."""
+    0..i-1."""
     ri = rows[i]
     bi = ri[:]
     mui = mu[i]
@@ -69,7 +47,7 @@ def _gso_row(rows, i, mu, c, bstar, width) -> None:
         cj = c[j]
         mij = sum(map(mul, ri, bj)) / cj if cj > 0.0 else 0.0
         mui[j] = mij
-        for t in range(width):
+        for t in range(len(bi)):
             bi[t] -= mij * bj[t]
     bstar[i] = bi
     c[i] = sum(map(mul, bi, bi))
@@ -83,7 +61,7 @@ def gso(rows) -> tuple[list[list[float]], list[float], list[list[float]]]:
     c = [0.0] * m
     bstar: list[list[float]] = [[] for _ in range(m)]
     for i in range(m):
-        _gso_row(rows, i, mu, c, bstar, len(rows[i]))
+        _gso_row(rows, i, mu, c, bstar)
     return mu, c, bstar
 
 
@@ -122,17 +100,11 @@ def lll_rows(rows) -> tuple[Frame, IntMatrix]:
     max_swaps = 4096 + 256 * m * m
     # stage k: rows 0..k-1 of the frame are current; row k is computed from
     # b_k, and again from the size-reduced b_k while a |q| > 1 step may have
-    # left float error in mu[k] (Schnorr-Euchner). Rows 0..top are integer
-    # combinations of the input rows 0..top, so they are +0.0 from column w
-    # on, and u's rows are 0 from column top + 1 on
-    k = top = swaps = 0
-    w = _width(b[0])
+    # left float error in mu[k] (Schnorr-Euchner)
+    k = swaps = 0
     while k < m:
-        if k > top:
-            top = k
-            w = max(w, _width(b[k]))
         for _ in range(_ROW_PASSES):
-            _gso_row(b, k, mu, c, bstar, w)
+            _gso_row(b, k, mu, c, bstar)
             if c[k] <= 0.0:
                 raise DegenerateBasisError("dependent rows passed to LLL")
             bk, uk, muk = b[k], u[k], mu[k]
@@ -142,9 +114,9 @@ def lll_rows(rows) -> tuple[Frame, IntMatrix]:
                 if q:
                     large = large or abs(q) > 1
                     bj, uj, muj = b[j], u[j], mu[j]
-                    for t in range(w):
+                    for t in range(len(bk)):
                         bk[t] -= q * bj[t]
-                    for t in range(top + 1):
+                    for t in range(m):
                         uk[t] -= q * uj[t]
                     for t in range(j):
                         muk[t] -= q * muj[t]

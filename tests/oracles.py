@@ -18,7 +18,8 @@ import numpy as np
 from latstab import Lattice, lll_reduce, subgroup_covolume
 from latstab.constants import hermite_upper
 from latstab.errors import DegenerateBasisError
-from latstab.intmat import IntMatrix, bareiss_det, identity, matmul, row_rank
+from latstab.intmat import (IntMatrix, bareiss_det, gram, identity, matmul,
+                             row_rank)
 from latstab.reduction import (_ETA, _ROW_PASSES, DEFAULT_DELTA, Frame,
                                IntegralLLL, dot)
 
@@ -42,12 +43,30 @@ def reference_gram_determinant(lattice: Lattice, coords) -> int:
     """det(C G C^T) with G the exact Gram of the lattice's integer form M,
     formed as C G and then (C G) C^T: the formula exact_gram_determinant
     used before it took the Gram of the small vectors C M instead."""
-    gz = lattice._exact_gram
+    gz = gram(lattice._exact[0])
     cg = [[sum(int(ci) * gz[i][j] for i, ci in enumerate(row))
            for j in range(len(gz))] for row in coords]
     small = [[sum(x * int(y) for x, y in zip(r, row)) for row in coords]
              for r in cg]
     return bareiss_det(small)
+
+
+def reference_adjugate(mat) -> tuple[IntMatrix, int]:
+    """(adj, det) of a square integer matrix by cofactor expansion: n^2
+    Bareiss determinants of minors (independent of intmat.adjugate's
+    Gauss-Jordan pass)."""
+    a = [[int(x) for x in row] for row in mat]
+    n = len(a)
+    det = bareiss_det(a)
+    if n == 1:
+        return [[1]], det
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [[a[r][c] for c in range(n) if c != j]
+                     for r in range(n) if r != i]
+            adj[j][i] = (-1) ** (i + j) * bareiss_det(minor)
+    return adj, det
 
 
 def fraction_gso(rows) -> tuple[list[list[Fraction]], list[Fraction]]:
@@ -219,9 +238,9 @@ def numpy_babai_distance(lattice: Lattice, target) -> float:
 
 
 # -- full-width LLL ------------------------------------------------------------
-# reduction.lll_rows and reduction._gso_row as they were before LLL worked
-# only on the columns a stage can reach: every loop runs over whole rows.
-# reduction.lll_rows must return bitwise the same frame and transform.
+# reduction.lll_rows and reduction._gso_row written out on their own, with a
+# delta argument: every loop runs over whole rows. reduction.lll_rows must
+# return bitwise the same frame and transform.
 
 
 def _reference_gso_row(rows, i, mu, c, bstar) -> None:

@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from latstab import intmat
-from oracles import _fraction_det, integer_gram_det
+from oracles import _fraction_det, integer_gram_det, reference_adjugate
 
 ints = st.integers(min_value=-30, max_value=30)
 
@@ -39,18 +39,21 @@ def test_bareiss_4x4(rows):
     assert intmat.bareiss_det(rows) == expect
 
 
-@given(st.integers(1, 7).flatmap(square))
-@settings(max_examples=60)
-def test_spd_adjugate_is_the_adjugate(a):
+def _zero_leading_pivot(a):
+    # the first Gauss-Jordan pivot is 0, so a row exchange is needed
+    return [[0] + a[0][1:]] + a[1:]
+
+
+@given(st.integers(1, 7).flatmap(square), st.booleans())
+@example([[1, 1, 0], [1, 1, 1], [0, 1, 1]], False)  # zero second pivot
+@example([[0, 0, 1], [0, 1, 0], [1, 0, 0]], False)
+@settings(max_examples=80)
+def test_adjugate_is_the_cofactor_adjugate(a, exchange):
     # one fraction-free Gauss-Jordan pass against n^2 cofactor determinants
+    if exchange:
+        a = _zero_leading_pivot(a)
     assume(intmat.bareiss_det(a) != 0)
-    g = intmat.gram(a)
-    assert intmat.spd_adjugate(g) == intmat.adjugate(g)
-
-
-def test_spd_adjugate_refuses_an_indefinite_matrix():
-    with pytest.raises(ValueError, match="not positive definite"):
-        intmat.spd_adjugate([[1, 2], [2, 1]])
+    assert intmat.adjugate(a) == reference_adjugate(a)
 
 
 def _random_unimodular(rng, n):
@@ -164,12 +167,19 @@ def test_complete_primitive_rejects_imprimitive():
         intmat.complete_primitive_row([2, 4])
 
 
-@given(square(3))
+@given(st.integers(1, 5).flatmap(square))
+@example([[0]])
+@example([[1, 2], [2, 4]])
 @settings(max_examples=60)
 def test_adjugate_identity(rows):
-    adj, det = intmat.adjugate(rows)
-    prod = intmat.matmul(rows, adj)
     n = len(rows)
+    if intmat.bareiss_det(rows) == 0:
+        with pytest.raises(ValueError, match="singular"):
+            intmat.adjugate(rows)
+        return
+    adj, det = intmat.adjugate(rows)
+    assert det == intmat.bareiss_det(rows)
+    prod = intmat.matmul(rows, adj)
     assert prod == [[det if i == j else 0 for j in range(n)]
                     for i in range(n)]
 

@@ -185,8 +185,9 @@ def test_lll_preserves_lattice_exactly():
 
 def test_lll_reduce_is_the_search_reduction(monkeypatch):
     # lll_reduce returns u @ M with u the search's cached transform, exactly
-    # LLL-reduced at 99/100; a declared form is reduced in integers, so the
-    # float LLL never sees its raw rows
+    # LLL-reduced at 99/100, read off the integral reduction without a
+    # frame; a declared form is reduced in integers, so the float LLL never
+    # sees its raw rows
     seen = []
 
     def spy(rows, *args):
@@ -199,6 +200,7 @@ def test_lll_reduce_is_the_search_reduction(monkeypatch):
             for stream in range(6):
                 lat = ls.sample_gm(n, p, 41, stream)
                 red = ls.lll_reduce(lat)
+                assert "_reduced" not in vars(lat)
                 u = lat._reduced[1]
                 assert red.exact_basis == _freeze_rows(
                     matmul(u, lat.exact_basis)), (n, p, stream)
@@ -634,9 +636,9 @@ def _captured_lll_inputs(monkeypatch):
 
 
 def test_lll_rows_is_bitwise_the_full_width_reference(monkeypatch):
-    # LLL skips the columns past the stage width and the transform columns
-    # past the highest stage; every skipped step is +0.0 arithmetic, so
-    # frame and transform are bitwise the full-width reduction's
+    # frame and transform are bitwise the full-width reduction's, on raw
+    # gm rows with a pivot past column 0, rows holding a -0.0 entry, and
+    # the rows the dual frame and the projections hand to LLL
     inputs = [ls.sample_lattice(spec)._rows for spec in _lll_inputs()]
     for n in range(2, 9):
         for p in (2**31 - 1, 1000000007):
@@ -651,7 +653,6 @@ def test_lll_rows_is_bitwise_the_full_width_reference(monkeypatch):
             for i in (0, n - 2):
                 signed = [list(r) for r in rows]
                 signed[i][-1] = -0.0
-                assert reduction._width(signed[i]) == n
                 inputs.append(signed)
     inputs += [ls.sample_exact_2d(seed=29, stream=s)._rows for s in range(40)]
     captured = _captured_lll_inputs(monkeypatch)
@@ -840,6 +841,18 @@ def test_dual_diagonal():
     d = ls.dual(lat)
     assert np.allclose(np.sort(np.abs(d.basis).sum(axis=1)), [0.5, 2.0])
     assert abs(d.covolume * lat.covolume - 1.0) < 1e-12
+
+
+def test_dual_of_an_exact_form_with_zero_pivots():
+    # adjugate exchanges rows at each zero pivot of the exact form; the dual
+    # basis D satisfies B D^T = I and the dual of the dual is B
+    for m in ([[0, 1], [1, 0]], [[0, 2, 1], [3, 0, 0], [1, 1, 0]],
+              [[1, 1, 0], [1, 1, 1], [0, 1, 1]]):
+        lat = ls.Lattice.from_exact(m, 0.5)
+        d = ls.dual(lat)
+        assert np.allclose(lat.basis @ d.basis.T, np.eye(len(m)))
+        assert abs(d.covolume * lat.covolume - 1.0) <= 1e-12
+        assert np.allclose(ls.dual(d).basis, lat.basis, rtol=0, atol=1e-12)
 
 
 def test_dual_involution_and_covolume():
